@@ -5,10 +5,9 @@
 //
 //   ./build/examples/loopback_replay
 #include <cstdio>
-#include <thread>
 
 #include "replay/realtime.h"
-#include "server/socket_server.h"
+#include "server/sharded_server.h"
 #include "stats/summary.h"
 #include "workload/traces.h"
 #include "zone/dnssec.h"
@@ -33,22 +32,20 @@ int main() {
   if (!zones.AddZone(std::make_shared<zone::Zone>(std::move(*zone))).ok()) {
     return 1;
   }
-  zone::ViewTable views;
-  views.SetDefaultView(std::move(zones));
-  auto engine = std::make_shared<server::AuthServerEngine>(std::move(views));
+  auto views = std::make_shared<zone::ViewTable>();
+  views->SetDefaultView(std::move(zones));
 
-  auto loop = net::EventLoop::Create();
-  if (!loop.ok()) return 1;
-  server::SocketDnsServer::Config sconfig;
+  // One shard: the server runs its own loop on its own thread.
+  server::ShardedDnsServer::Config sconfig;
   sconfig.listen = Endpoint{IpAddress::Loopback(), 0};  // ephemeral port
-  auto server = server::SocketDnsServer::Start(**loop, engine, sconfig);
+  sconfig.n_shards = 1;
+  auto server = server::ShardedDnsServer::Start(views, sconfig);
   if (!server.ok()) {
     std::fprintf(stderr, "server: %s\n", server.error().ToString().c_str());
     return 1;
   }
   std::printf("authoritative server on %s\n",
               (*server)->endpoint().ToString().c_str());
-  std::thread server_thread([&]() { (*loop)->Run(); });
 
   // A 10-second trace at 1 ms fixed inter-arrival (syn-3 style).
   workload::FixedIntervalConfig tconfig;
@@ -68,8 +65,7 @@ int main() {
   rconfig.queriers_per_distributor = 3;
   auto report = replay::RunRealtimeReplay(records, rconfig);
 
-  (*loop)->ScheduleAfter(0, [&]() { (*loop)->Stop(); });
-  server_thread.join();
+  (*server)->Stop();
   if (!report.ok()) {
     std::fprintf(stderr, "replay: %s\n", report.error().ToString().c_str());
     return 1;

@@ -6,9 +6,10 @@
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
 # timer wheel expiry, TLS handshake/resumption, sharded TCP accept) under
-# AddressSanitizer (-DLDP_SANITIZE=address).
+# AddressSanitizer (-DLDP_SANITIZE=address), and the whole suite under
+# UndefinedBehaviorSanitizer (-DLDP_SANITIZE=undefined, every report fatal).
 #
-#   scripts/verify.sh [--skip-tsan]   # skips both sanitizer stages
+#   scripts/verify.sh [--skip-tsan]   # skips the three sanitizer stages
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -441,5 +442,12 @@ cmake --build build-asan -j"$(nproc)" --target \
   tls_test sharded_server_test
 ctest --test-dir build-asan --output-on-failure \
   -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test'
+
+echo "== ubsan: full suite, reports fatal =="
+# CMakeLists.txt adds -fno-sanitize-recover=undefined for this sanitizer,
+# so a UBSan report aborts the test instead of printing and passing.
+cmake -B build-ubsan -S . -DLDP_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j"$(nproc)"
+ctest --test-dir build-ubsan --output-on-failure -j2
 
 echo "verify: OK"

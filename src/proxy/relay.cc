@@ -178,7 +178,7 @@ struct HierarchyProxy::Shard {
   bool tick_armed = false;
   std::vector<uint64_t> expired;
 
-  // Reply staging, reused across batches (SocketDnsServer idiom).
+  // Reply staging, reused across batches (as in the server's UDP lane).
   std::vector<net::DatagramPath::SendItem> reply_items;
 
   // TCP splices (shard 0 only).
@@ -682,8 +682,9 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
       }
     }
 
-    // TCP splice on shard 0 only (mirrors ShardedDnsServer: the TCP lane
-    // needs correctness, not multi-core throughput).
+    // TCP splice on shard 0 only: the splice needs correctness, not
+    // multi-core throughput (unlike ShardedDnsServer's stream lane, which
+    // binds a SO_REUSEPORT listener on every shard).
     if (i == 0 && config.splice_tcp) {
       for (IpAddress address : config.addresses) {
         Shard* raw = shard.get();

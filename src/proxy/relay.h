@@ -29,9 +29,10 @@
 // budget + backoff) and redelivers the unanswered frames, carrying the
 // rewrite across reconnects.
 //
-// Sharding mirrors ShardedDnsServer: n_shards worker threads, each with
-// its own EventLoop, SO_REUSEPORT listener set, flow table, wheel, and
-// metric instances (merged by name at snapshot). TCP stays on shard 0.
+// Sharding mirrors ShardedDnsServer's UDP lane: n_shards worker threads,
+// each with its own EventLoop, SO_REUSEPORT listener set, flow table, wheel,
+// and metric instances (merged by name at snapshot). Unlike the server's
+// stream lane, TCP splices stay on shard 0.
 //
 // Anycast emulation (catchment.h): when `sites` is configured, each flow
 // is pinned to a site by catchment lookup on the client address, UDP
@@ -140,8 +141,8 @@ class HierarchyProxy {
 
   // Binds every listener (resolving an ephemeral service port via the
   // first bind), then starts one worker thread per shard. Mirrors
-  // ShardedDnsServer: sockets and loops are built on the calling thread;
-  // after Start returns each loop is touched only by its own worker.
+  // ShardedDnsServer::Start: sockets and loops are built on the calling
+  // thread; after Start returns each loop is touched only by its own worker.
   static Result<std::unique_ptr<HierarchyProxy>> Start(const Config& config);
 
   ~HierarchyProxy();  // Stop() + join

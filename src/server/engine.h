@@ -5,7 +5,7 @@
 // public address of the nameserver the querier believed it was asking.
 //
 // The same engine runs over the simulator (sim_server.h) and over real
-// sockets (socket_server.h): transports hand it wire bytes + the source
+// sockets (sharded_server.h): transports hand it wire bytes + the source
 // address, it hands back wire bytes.
 #ifndef LDPLAYER_SERVER_ENGINE_H
 #define LDPLAYER_SERVER_ENGINE_H

@@ -10,14 +10,20 @@
 // spreads incoming connections across shards by 4-tuple hash, so the
 // mass-connection workloads of the all-TCP/all-TLS root study (figs 13-15)
 // use every core. The TLS context (certificate, ticket key) is shared.
+//
+// This is the only socket server: one shard is the trivial case, and a
+// caller that wants a single loop sets n_shards = 1.
 #ifndef LDPLAYER_SERVER_SHARDED_SERVER_H
 #define LDPLAYER_SERVER_SHARDED_SERVER_H
 
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "net/datapath.h"
+#include "net/tls.h"
+#include "server/engine.h"
 #include "server/socket_server.h"
+#include "stats/metrics.h"
 
 namespace ldp::server {
 
@@ -32,8 +38,11 @@ class ShardedDnsServer {
     // picks an ephemeral port, resolved via tls_endpoint().
     bool serve_tls = false;
     uint16_t tls_port = 0;
-    // Per-shard cap on concurrent stream connections (0 = unbounded); see
-    // SocketDnsServer::Config::max_tcp_connections for the semantics.
+    // Per-shard cap on concurrent stream connections (TCP + TLS together;
+    // 0 = unbounded). At the cap, newly accepted connections are closed
+    // immediately (counted in TcpStats::rejected) and the shard's listeners
+    // pause, leaving further SYNs in the kernel backlog until idle eviction
+    // or client closes make room.
     size_t max_tcp_connections = 0;
     NanoDuration tcp_idle_timeout = Seconds(20);
     // Per-shard UDP SO_RCVBUF (0 = kernel default): the fast path raises
@@ -80,18 +89,14 @@ class ShardedDnsServer {
   std::vector<TcpStats> ShardTcpStats() const;
 
  private:
-  ShardedDnsServer() = default;
+  ShardedDnsServer();
 
-  struct Shard {
-    std::unique_ptr<net::EventLoop> loop;
-    std::shared_ptr<AuthServerEngine> engine;
-    std::unique_ptr<SocketDnsServer> server;
-    std::thread thread;
-  };
+  // One worker: its loop, thread, engine and socket lanes (sharded_server.cc).
+  class Shard;
 
   Endpoint endpoint_;
   Endpoint tls_endpoint_;
-  // Shared across shards; must outlive every shard's SocketDnsServer.
+  // Shared across shards; must outlive every shard.
   std::unique_ptr<net::TlsContext> tls_ctx_;
   std::vector<std::unique_ptr<Shard>> shards_;
   bool stopped_ = false;

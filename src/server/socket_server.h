@@ -1,46 +1,23 @@
-// Authoritative server on real sockets (UDP + TCP + DoT over loopback): the
-// server side of the replay-fidelity experiments (§4), sharing the engine
-// with the simulated binding.
+// Stream-lane counters of the authoritative server (server/sharded_server.h):
+// the plain-value snapshot each shard reports for its TCP and DoT
+// connections.
 #ifndef LDPLAYER_SERVER_SOCKET_SERVER_H
 #define LDPLAYER_SERVER_SOCKET_SERVER_H
 
-#include <atomic>
-#include <memory>
-#include <unordered_map>
-
-#include "dns/framing.h"
-#include "net/datapath.h"
-#include "net/sockets.h"
-#include "net/tls.h"
-#include "server/engine.h"
-#include "stats/metrics.h"
+#include <cstdint>
 
 namespace ldp::server {
 
-// Per-server connection-lane counters (relaxed atomics, written only from
-// the server's loop thread, read from anywhere). Held in a shared_ptr so
-// metrics-registry lambdas can outlive the server.
-struct TcpCounters {
-  std::atomic<uint64_t> accepted{0};   // admitted connections (TCP + TLS)
-  std::atomic<uint64_t> rejected{0};   // closed at max_tcp_connections
-  std::atomic<uint64_t> idle_closed{0};
-  std::atomic<uint64_t> open{0};       // current connections (gauge)
-  std::atomic<uint64_t> tls_open{0};   // current TLS connections (gauge)
-  std::atomic<uint64_t> tls_handshakes{0};   // completed handshakes
-  std::atomic<uint64_t> tls_resumptions{0};  // of which session-resumed
-  std::atomic<uint64_t> tls_aborts{0};       // failed/aborted handshakes
-};
-
-// Plain-value snapshot of TcpCounters, summable across shards.
+// Per-shard connection-lane counters, summable across shards.
 struct TcpStats {
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
+  uint64_t accepted = 0;     // admitted connections (TCP + TLS)
+  uint64_t rejected = 0;     // closed at max_tcp_connections
   uint64_t idle_closed = 0;
-  uint64_t open = 0;
-  uint64_t tls_open = 0;
-  uint64_t tls_handshakes = 0;
-  uint64_t tls_resumptions = 0;
-  uint64_t tls_aborts = 0;
+  uint64_t open = 0;         // current connections (gauge)
+  uint64_t tls_open = 0;     // current TLS connections (gauge)
+  uint64_t tls_handshakes = 0;   // completed handshakes
+  uint64_t tls_resumptions = 0;  // of which session-resumed
+  uint64_t tls_aborts = 0;       // failed/aborted handshakes
 
   TcpStats& operator+=(const TcpStats& other) {
     accepted += other.accepted;
@@ -53,108 +30,6 @@ struct TcpStats {
     tls_aborts += other.tls_aborts;
     return *this;
   }
-};
-
-class SocketDnsServer {
- public:
-  struct Config {
-    Endpoint listen;  // port 0 picks an ephemeral port (tests)
-    bool serve_tcp = true;
-    // DNS-over-TLS listener (requires `tls`); tls_port 0 picks an ephemeral
-    // port, resolved via tls_endpoint().
-    bool serve_tls = false;
-    uint16_t tls_port = 0;
-    // Shared server TLS context (one per process: SSL_CTX is internally
-    // locked, and sharing it means one certificate and one ticket key for
-    // every shard). Must outlive the server.
-    net::TlsContext* tls = nullptr;
-    NanoDuration tcp_idle_timeout = Seconds(20);
-    // Upper bound on concurrent stream connections (TCP + TLS together);
-    // 0 = unbounded. At the cap, newly accepted connections are closed
-    // immediately (counted in TcpCounters::rejected) and both listeners
-    // pause, leaving further SYNs in the kernel backlog until idle eviction
-    // or client closes make room — the flow-table bounding discipline
-    // applied to the connection map.
-    size_t max_tcp_connections = 0;
-    // SO_REUSEPORT on the stream listeners, so sibling shards can bind the
-    // same port and the kernel spreads accepts across them.
-    bool tcp_reuse_port = false;
-    // How query bytes reach the engine: backend kind (epoll kernel sockets
-    // by default, AF_PACKET rings with --datapath=afpacket), kernel-socket
-    // options (reuse_port lets sibling shards share the port), ring
-    // geometry, and the registry for datapath.* instruments. TCP always
-    // stays on kernel sockets.
-    net::DatapathOptions datapath;
-    // Optional: records datagrams per readiness batch. Must outlive the
-    // server (owned by a MetricsRegistry).
-    stats::LogHistogram* udp_batch_hist = nullptr;
-    // Optional: records TLS handshake wall time in ns. Must outlive the
-    // server (owned by a MetricsRegistry).
-    stats::LogHistogram* tls_handshake_hist = nullptr;
-    // Backpressure bounds applied to every TCP connection's reassembly
-    // backlog; drops are visible via framing_drops().
-    dns::StreamAssembler::Limits stream_limits;
-  };
-
-  static Result<std::unique_ptr<SocketDnsServer>> Start(
-      net::EventLoop& loop, std::shared_ptr<AuthServerEngine> engine,
-      const Config& config);
-
-  // The actually-bound endpoint (resolves ephemeral ports).
-  Endpoint endpoint() const { return udp_->local(); }
-  // Bound DoT endpoint; only meaningful with serve_tls.
-  Endpoint tls_endpoint() const {
-    return tls_listener_ != nullptr ? tls_listener_->local() : Endpoint{};
-  }
-  const AuthServerEngine& engine() const { return *engine_; }
-  size_t open_tcp_connections() const { return conns_.size(); }
-  // Complete TCP frames dropped because a connection's ready backlog was
-  // full. Shared so a metrics registry lambda can outlive the server.
-  std::shared_ptr<const std::atomic<uint64_t>> framing_drops() const {
-    return framing_drops_;
-  }
-  std::shared_ptr<TcpCounters> tcp_counters() const { return tcp_counters_; }
-  TcpStats tcp_stats() const;
-
- private:
-  SocketDnsServer(net::EventLoop& loop,
-                  std::shared_ptr<AuthServerEngine> engine, Config config)
-      : loop_(loop), engine_(std::move(engine)), config_(config) {}
-
-  struct ConnState {
-    std::unique_ptr<net::StreamConn> conn;
-    bool tls = false;
-    dns::StreamAssembler assembler;
-    NanoTime last_activity = 0;
-    net::TimerHandle idle_timer;
-  };
-
-  void OnUdpBatch(std::span<const net::DatagramPath::RecvItem> batch);
-  void OnAccept(std::unique_ptr<net::TcpConnection> conn, bool tls);
-  void OnTlsReady(net::StreamConn* key, Status status);
-  void OnTcpData(net::StreamConn* key, std::span<const uint8_t> data);
-  void ArmIdleTimer(net::StreamConn* key);
-  void CloseConn(net::StreamConn* key);
-  // Erase + connection-gauge upkeep + listener resume below the cap.
-  void RemoveConn(std::unordered_map<net::StreamConn*, ConnState>::iterator it);
-  void PauseAccept();
-  void MaybeResumeAccept();
-
-  net::EventLoop& loop_;
-  std::shared_ptr<AuthServerEngine> engine_;
-  Config config_;
-  std::shared_ptr<std::atomic<uint64_t>> framing_drops_ =
-      std::make_shared<std::atomic<uint64_t>>(0);
-  std::shared_ptr<TcpCounters> tcp_counters_ =
-      std::make_shared<TcpCounters>();
-  std::unique_ptr<net::DatagramPath> udp_;
-  std::unique_ptr<net::TcpListener> listener_;
-  std::unique_ptr<net::TcpListener> tls_listener_;
-  std::unordered_map<net::StreamConn*, ConnState> conns_;
-  // Per-batch reply staging, reused across readiness events: the encoded
-  // responses (kept alive through the SendBatch call) and their addresses.
-  std::vector<Bytes> reply_bufs_;
-  std::vector<net::DatagramPath::SendItem> reply_items_;
 };
 
 }  // namespace ldp::server

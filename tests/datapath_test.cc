@@ -11,13 +11,12 @@
 
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "net/event_loop.h"
 #include "replay/realtime.h"
-#include "server/socket_server.h"
+#include "server/sharded_server.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
@@ -174,7 +173,7 @@ TEST(DatapathTest, AfPacketWildcardRingDeliversOqdaAndSpoofsSource) {
 
 // --- Full serve→replay chain through the DatagramPath seam ---
 
-std::shared_ptr<server::AuthServerEngine> MakeEngine() {
+std::shared_ptr<const zone::ViewTable> MakeViews() {
   auto zone = zone::ParseMasterFile(
       "$ORIGIN example.com.\n"
       "@ 3600 IN SOA ns1 admin 1 2 3 4 300\n"
@@ -186,25 +185,22 @@ std::shared_ptr<server::AuthServerEngine> MakeEngine() {
   zone::ZoneSet set;
   EXPECT_TRUE(
       set.AddZone(std::make_shared<zone::Zone>(std::move(*zone))).ok());
-  zone::ViewTable views;
-  views.SetDefaultView(std::move(set));
-  return std::make_shared<server::AuthServerEngine>(std::move(views));
+  auto views = std::make_shared<zone::ViewTable>();
+  views->SetDefaultView(std::move(set));
+  return views;
 }
 
-// Boots a SocketDnsServer on `kind`, replays `n` queries through a
+// Boots a one-shard server on `kind`, replays `n` queries through a
 // querier on the same kind, and checks the terminal-accounting invariant:
 // every send ends answered, timed out, or failed — nothing vanishes.
 void ServeReplayChain(DatapathKind kind, size_t n) {
-  auto loop = EventLoop::Create();
-  ASSERT_TRUE(loop.ok());
-
-  server::SocketDnsServer::Config config;
+  server::ShardedDnsServer::Config config;
   config.listen = Endpoint{IpAddress::Loopback(), 0};
+  config.n_shards = 1;
   config.serve_tcp = false;
-  config.datapath.kind = kind;
-  auto server = server::SocketDnsServer::Start(**loop, MakeEngine(), config);
+  config.datapath = kind;
+  auto server = server::ShardedDnsServer::Start(MakeViews(), config);
   ASSERT_TRUE(server.ok()) << server.error().ToString();
-  std::thread server_thread([&]() { (*loop)->Run(); });
 
   workload::FixedIntervalConfig trace_config;
   trace_config.interarrival = Millis(1);
@@ -222,8 +218,7 @@ void ServeReplayChain(DatapathKind kind, size_t n) {
   replay_config.query_timeout = Seconds(2);
   replay_config.datapath = kind;
   auto report = replay::RunRealtimeReplay(records, replay_config);
-  (*loop)->RequestStop();
-  server_thread.join();
+  (*server)->Stop();
 
   ASSERT_TRUE(report.ok()) << report.error().ToString();
   EXPECT_EQ(report->queries_sent, records.size());

@@ -1,6 +1,6 @@
 // End-to-end real-socket replay: controller → distributors → queriers over
-// loopback against a real SocketDnsServer, exercising the §4 fidelity path
-// with actual kernel timers and sockets.
+// loopback against a real one-shard ShardedDnsServer, exercising the §4
+// fidelity path with actual kernel timers and sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,7 +14,7 @@
 #include "mutate/mutate.h"
 #include "net/sockets.h"
 #include "replay/realtime.h"
-#include "server/socket_server.h"
+#include "server/sharded_server.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
@@ -37,7 +37,7 @@ constexpr bool kUnderTsan = false;
 #endif
 
 // Wildcard zone so every replayed query gets an answer.
-std::shared_ptr<server::AuthServerEngine> MakeEngine() {
+std::shared_ptr<const zone::ViewTable> MakeViews() {
   auto zone = zone::ParseMasterFile(
       "$ORIGIN example.com.\n"
       "@ 3600 IN SOA ns1 admin 1 2 3 4 300\n"
@@ -49,9 +49,9 @@ std::shared_ptr<server::AuthServerEngine> MakeEngine() {
   zone::ZoneSet set;
   EXPECT_TRUE(
       set.AddZone(std::make_shared<zone::Zone>(std::move(*zone))).ok());
-  zone::ViewTable views;
-  views.SetDefaultView(std::move(set));
-  return std::make_shared<server::AuthServerEngine>(std::move(views));
+  auto views = std::make_shared<zone::ViewTable>();
+  views->SetDefaultView(std::move(set));
+  return views;
 }
 
 std::vector<trace::QueryRecord> MakeTraceTo(Endpoint server, size_t n,
@@ -157,30 +157,13 @@ class DeadTcpPort {
 class RealtimeReplayTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto loop = net::EventLoop::Create();
-    ASSERT_TRUE(loop.ok());
-    loop_ = std::move(*loop);
-
-    server::SocketDnsServer::Config config;
+    server::ShardedDnsServer::Config config;
     config.listen = Endpoint{IpAddress::Loopback(), 0};
+    config.n_shards = 1;
     config.tcp_idle_timeout = Seconds(20);
-    auto server = server::SocketDnsServer::Start(*loop_, MakeEngine(), config);
+    auto server = server::ShardedDnsServer::Start(MakeViews(), config);
     ASSERT_TRUE(server.ok()) << server.error().ToString();
     server_ = std::move(*server);
-
-    server_thread_ = std::thread([this]() { loop_->Run(); });
-  }
-
-  void TearDown() override { StopServerLoop(); }
-
-  // RequestStop is the only cross-thread-safe way to stop a running loop
-  // (ScheduleAfter from here would race with the loop thread's timer heap).
-  // Tests that inspect server state call this first so the read cannot race
-  // with the loop thread.
-  void StopServerLoop() {
-    if (!server_thread_.joinable()) return;
-    loop_->RequestStop();
-    server_thread_.join();
   }
 
   std::vector<trace::QueryRecord> MakeTrace(size_t n, NanoDuration gap,
@@ -196,9 +179,7 @@ class RealtimeReplayTest : public ::testing::Test {
     return config;
   }
 
-  std::unique_ptr<net::EventLoop> loop_;
-  std::unique_ptr<server::SocketDnsServer> server_;
-  std::thread server_thread_;
+  std::unique_ptr<server::ShardedDnsServer> server_;
 };
 
 TEST_F(RealtimeReplayTest, UdpReplayGetsAllReplies) {
@@ -254,10 +235,10 @@ TEST_F(RealtimeReplayTest, TcpReplayReusesConnections) {
   EXPECT_GE(report->replies, 98u);
   ExpectTerminalAccounting(*report);
   // 20 sources, sticky assignment: connection count stays near the source
-  // count, far below the query count. Quiesce the loop first so the map
-  // read does not race with connection teardown.
-  StopServerLoop();
-  EXPECT_LE(server_->open_tcp_connections(), 25u);
+  // count, far below the query count. Stop the server first so the gauge
+  // no longer moves under connection teardown.
+  server_->Stop();
+  EXPECT_LE(server_->TotalTcpStats().open, 25u);
 }
 
 TEST_F(RealtimeReplayTest, ReportHelpersProduceSeries) {

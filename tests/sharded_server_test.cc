@@ -9,9 +9,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "server/sharded_server.h"
+#include "stats/metrics.h"
 #include "zone/masterfile.h"
 
 namespace ldp::server {
@@ -264,6 +266,45 @@ TEST(ShardedServer, SingleShardServesTcpAndUdp) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->rcode, dns::Rcode::kNoError);
   EXPECT_EQ((*server)->TotalStats().queries, 1u);
+}
+
+// The registry-backed counters are polled from the engine and the stream
+// lane's counters through shared_ptr captures, so a snapshot taken after
+// the server is destroyed still reads them (under ASan a dangling capture
+// fails here).
+TEST(ShardedServer, RegistersMetricsThatOutliveTheServer) {
+  stats::MetricsRegistry metrics;
+  {
+    ShardedDnsServer::Config config;
+    config.listen = Endpoint{IpAddress::Loopback(), 0};
+    config.n_shards = 1;
+    config.metrics = &metrics;
+    auto server = ShardedDnsServer::Start(MakeViews(), config);
+    ASSERT_TRUE(server.ok()) << server.error().ToString();
+
+    auto query = dns::Message::MakeQuery(
+        *dns::Name::Parse("www.example.com"), dns::RRType::kA, false);
+    query.id = 11;
+    ASSERT_FALSE(Exchange((*server)->endpoint(), query.Encode()).empty());
+    TcpClient client((*server)->endpoint());
+    ASSERT_TRUE(client.connected());
+    query.id = 12;
+    ASSERT_FALSE(client.Exchange(query.Encode()).empty());
+  }  // client, then server, destroyed
+
+  stats::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue("server.queries"), 2u);
+  EXPECT_EQ(snapshot.CounterValue("server.tcp_accepted"), 1u);
+  // Registered (CounterValue is 0 for unknown names too) and untouched.
+  EXPECT_TRUE(std::any_of(snapshot.counters.begin(), snapshot.counters.end(),
+                          [](const auto& counter) {
+                            return counter.first == "framing.stream_drops";
+                          }));
+  EXPECT_EQ(snapshot.CounterValue("framing.stream_drops"), 0u);
+  const stats::HistogramSnapshot* udp_batch =
+      snapshot.Histogram("server.udp_batch");
+  ASSERT_NE(udp_batch, nullptr);
+  EXPECT_GT(udp_batch->count, 0u);
 }
 
 }  // namespace
