@@ -6,7 +6,8 @@
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
 # timer wheel expiry, TLS handshake/resumption, sharded TCP accept) under
-# AddressSanitizer (-DLDP_SANITIZE=address), and the whole suite under
+# AddressSanitizer (-DLDP_SANITIZE=address) together with the zone index
+# (zone_test, lookup oracle, wire byte identity), and the whole suite under
 # UndefinedBehaviorSanitizer (-DLDP_SANITIZE=undefined, every report fatal).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips the three sanitizer stages
@@ -435,13 +436,17 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths =="
+echo "== asan: socket + replay lifetime paths, zone index =="
+# The zone index hands out offsets into its key arena and references into
+# shared zone storage; zone_test, the lookup oracle and the wire byte-identity
+# test walk those under ASan.
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
-  tls_test sharded_server_test
+  tls_test sharded_server_test zone_test lookup_oracle_test \
+  wire_identity_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|zone_test|lookup_oracle_test|wire_identity_test'
 
 echo "== ubsan: full suite, reports fatal =="
 # CMakeLists.txt adds -fno-sanitize-recover=undefined for this sanitizer,

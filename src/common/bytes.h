@@ -3,6 +3,7 @@
 #ifndef LDPLAYER_COMMON_BYTES_H
 #define LDPLAYER_COMMON_BYTES_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -71,6 +72,9 @@ class ByteWriter {
   // Overwrites 2 bytes at `offset` (used to back-patch length prefixes and
   // DNS RDLENGTH fields once the payload size is known).
   void PatchU16(size_t offset, uint16_t v);
+
+  // Drops everything from `size` on (rolls back a partial write).
+  void Truncate(size_t size) { buf_.resize(std::min(size, buf_.size())); }
 
  private:
   Bytes buf_;

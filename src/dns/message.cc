@@ -13,39 +13,6 @@ constexpr uint16_t kFlagRa = 0x0080;
 constexpr uint16_t kFlagAd = 0x0020;
 constexpr uint16_t kFlagCd = 0x0010;
 
-// Encodes one RR, returning false (and rolling back) if the result would
-// exceed max_size.
-bool EncodeRecord(const ResourceRecord& rr, NameCompressor& compressor,
-                  ByteWriter& writer, size_t max_size) {
-  compressor.Encode(rr.name, writer);
-  writer.WriteU16(static_cast<uint16_t>(rr.type));
-  writer.WriteU16(static_cast<uint16_t>(rr.klass));
-  writer.WriteU32(rr.ttl);
-  size_t rdlength_offset = writer.size();
-  writer.WriteU16(0);
-  EncodeRdata(rr.rdata, compressor, writer);
-  writer.PatchU16(rdlength_offset,
-                  static_cast<uint16_t>(writer.size() - rdlength_offset - 2));
-  // On overflow the caller discards the partial bytes. The compressor may
-  // retain offsets into the discarded region, which is safe only because
-  // encoding stops entirely once a record fails to fit.
-  return writer.size() <= max_size;
-}
-
-ResourceRecord MakeOptRecord(const Edns& edns, Rcode rcode) {
-  ResourceRecord opt;
-  opt.name = Name::Root();
-  opt.type = RRType::kOPT;
-  opt.klass = static_cast<RRClass>(edns.udp_payload_size);
-  uint32_t ttl = (static_cast<uint32_t>(edns.extended_rcode_high) << 24) |
-                 (static_cast<uint32_t>(edns.version) << 16) |
-                 (edns.do_bit ? 0x8000u : 0u);
-  (void)rcode;
-  opt.ttl = ttl;
-  opt.rdata = GenericRdata{edns.options};
-  return opt;
-}
-
 }  // namespace
 
 std::string Question::ToText() const {
@@ -60,87 +27,92 @@ Message Message::MakeQuery(Name name, RRType type, bool recursion_desired) {
   return msg;
 }
 
+MessageWriter::MessageWriter(const Header& header, size_t max_size,
+                             const Edns* edns)
+    : writer_(512), edns_(edns) {
+  flags_ = static_cast<uint16_t>(
+      (header.qr ? kFlagQr : 0) |
+      ((static_cast<uint16_t>(header.opcode) & 0xf) << 11) |
+      (header.aa ? kFlagAa : 0) | (header.tc ? kFlagTc : 0) |
+      (header.rd ? kFlagRd : 0) | (header.ra ? kFlagRa : 0) |
+      (header.ad ? kFlagAd : 0) | (header.cd ? kFlagCd : 0) |
+      (static_cast<uint16_t>(header.rcode) & 0xf));
+  // Room for the OPT RR (root owner + fixed fields + options), so
+  // truncation never drops EDNS itself.
+  size_t opt_reserve = edns != nullptr ? 11 + edns->options.size() : 0;
+  body_limit_ = max_size > opt_reserve ? max_size - opt_reserve : 0;
+  writer_.WriteU16(header.id);
+  for (int i = 0; i < 5; ++i) writer_.WriteU16(0);  // flags, 4 counts
+}
+
+void MessageWriter::AddQuestion(const Question& question) {
+  compressor_.Encode(question.name, writer_);
+  writer_.WriteU16(static_cast<uint16_t>(question.type));
+  writer_.WriteU16(static_cast<uint16_t>(question.klass));
+  ++counts_[0];
+}
+
+bool MessageWriter::AddRecord(Section section, const Name& owner, RRType type,
+                              RRClass klass, uint32_t ttl,
+                              const Rdata& rdata) {
+  if (truncated_) return false;
+  size_t before = writer_.size();
+  compressor_.Encode(owner, writer_);
+  writer_.WriteU16(static_cast<uint16_t>(type));
+  writer_.WriteU16(static_cast<uint16_t>(klass));
+  writer_.WriteU32(ttl);
+  size_t rdlength_offset = writer_.size();
+  writer_.WriteU16(0);
+  EncodeRdata(rdata, compressor_, writer_);
+  writer_.PatchU16(rdlength_offset, static_cast<uint16_t>(
+                                        writer_.size() - rdlength_offset - 2));
+  if (writer_.size() > body_limit_) {
+    // The compressor may keep offsets into the dropped bytes; they can no
+    // longer match, because a hit is checked against the written bytes.
+    writer_.Truncate(before);
+    truncated_ = true;
+    return false;
+  }
+  ++counts_[static_cast<int>(section)];
+  return true;
+}
+
+Bytes MessageWriter::Finish() && {
+  if (edns_ != nullptr) {
+    writer_.WriteU8(0);  // root owner
+    writer_.WriteU16(static_cast<uint16_t>(RRType::kOPT));
+    writer_.WriteU16(edns_->udp_payload_size);
+    writer_.WriteU32((static_cast<uint32_t>(edns_->extended_rcode_high) << 24) |
+                     (static_cast<uint32_t>(edns_->version) << 16) |
+                     (edns_->do_bit ? 0x8000u : 0u));
+    writer_.WriteU16(static_cast<uint16_t>(edns_->options.size()));
+    writer_.WriteBytes(edns_->options);
+    ++counts_[3];
+  }
+  writer_.PatchU16(2, truncated_ ? flags_ | kFlagTc : flags_);
+  for (int i = 0; i < 4; ++i) writer_.PatchU16(4 + 2 * i, counts_[i]);
+  return std::move(writer_).Take();
+}
+
 Bytes Message::Encode(size_t max_size) const {
-  // Truncation strategy: encode greedily; on the first record that does not
-  // fit, stop, set TC, and re-encode the header. We build the body first and
-  // patch counts afterwards.
-  ByteWriter writer(512);
-  NameCompressor compressor;
-
-  uint16_t flags = 0;
-  if (qr) flags |= kFlagQr;
-  flags |= static_cast<uint16_t>((static_cast<uint16_t>(opcode) & 0xf) << 11);
-  if (aa) flags |= kFlagAa;
-  if (tc) flags |= kFlagTc;
-  if (rd) flags |= kFlagRd;
-  if (ra) flags |= kFlagRa;
-  if (ad) flags |= kFlagAd;
-  if (cd) flags |= kFlagCd;
-  flags |= static_cast<uint16_t>(rcode) & 0xf;
-
-  writer.WriteU16(id);
-  size_t flags_offset = writer.size();
-  writer.WriteU16(flags);
-  writer.WriteU16(static_cast<uint16_t>(questions.size()));
-  size_t ancount_offset = writer.size();
-  writer.WriteU16(0);
-  size_t nscount_offset = writer.size();
-  writer.WriteU16(0);
-  size_t arcount_offset = writer.size();
-  writer.WriteU16(0);
-
-  for (const auto& q : questions) {
-    compressor.Encode(q.name, writer);
-    writer.WriteU16(static_cast<uint16_t>(q.type));
-    writer.WriteU16(static_cast<uint16_t>(q.klass));
-  }
-
-  bool truncated = false;
-  uint16_t ancount = 0, nscount = 0, arcount = 0;
-
-  // Reserve room for the OPT RR so truncation never drops EDNS itself.
-  size_t opt_reserve = 0;
-  ResourceRecord opt_rr;
-  if (edns.has_value()) {
-    opt_rr = MakeOptRecord(*edns, rcode);
-    opt_reserve = 1 + 2 + 2 + 4 + 2 + edns->options.size();  // root + fixed
-  }
-  size_t body_limit = max_size > opt_reserve ? max_size - opt_reserve : 0;
-
-  auto encode_section = [&](const std::vector<ResourceRecord>& section,
-                            uint16_t& count) {
-    for (const auto& rr : section) {
-      if (truncated) return;
-      size_t before = writer.size();
-      if (!EncodeRecord(rr, compressor, writer, body_limit)) {
-        truncated = true;
-        // Drop the partial record by re-encoding everything up to `before`.
-        Bytes kept(writer.data().begin(), writer.data().begin() + before);
-        writer = ByteWriter(kept.size());
-        writer.WriteBytes(kept);
+  MessageWriter writer(Header{.id = id, .qr = qr, .opcode = opcode, .aa = aa,
+                              .tc = tc, .rd = rd, .ra = ra, .ad = ad,
+                              .cd = cd, .rcode = rcode},
+                       max_size, edns.has_value() ? &*edns : nullptr);
+  for (const auto& q : questions) writer.AddQuestion(q);
+  auto add = [&](MessageWriter::Section section,
+                 const std::vector<ResourceRecord>& records) {
+    for (const auto& rr : records) {
+      if (!writer.AddRecord(section, rr.name, rr.type, rr.klass, rr.ttl,
+                            rr.rdata)) {
         return;
       }
-      ++count;
     }
   };
-
-  encode_section(answers, ancount);
-  encode_section(authorities, nscount);
-  encode_section(additionals, arcount);
-
-  if (edns.has_value()) {
-    NameCompressor opt_compressor;  // OPT owner is root; no compression value
-    EncodeRecord(opt_rr, opt_compressor, writer, max_size);
-    ++arcount;
-  }
-
-  writer.PatchU16(ancount_offset, ancount);
-  writer.PatchU16(nscount_offset, nscount);
-  writer.PatchU16(arcount_offset, arcount);
-  if (truncated) {
-    writer.PatchU16(flags_offset, flags | kFlagTc);
-  }
-  return std::move(writer).Take();
+  add(MessageWriter::Section::kAnswer, answers);
+  add(MessageWriter::Section::kAuthority, authorities);
+  add(MessageWriter::Section::kAdditional, additionals);
+  return std::move(writer).Finish();
 }
 
 Result<Message> Message::Decode(std::span<const uint8_t> wire) {

@@ -40,6 +40,53 @@ struct Edns {
   bool operator==(const Edns&) const = default;
 };
 
+// The header fields other than the section counts.
+struct Header {
+  uint16_t id = 0;
+  bool qr = false;
+  Opcode opcode = Opcode::kQuery;
+  bool aa = false;
+  bool tc = false;
+  bool rd = false;
+  bool ra = false;
+  bool ad = false;
+  bool cd = false;
+  Rcode rcode = Rcode::kNoError;
+};
+
+// Writes a message front to back: header, questions, then records section
+// by section, then the OPT RR. This is the one record encoder: both
+// Message::Encode and the engine's reference-based responses
+// (zone::EncodeResponse) go through it. Past `max_size` it applies the
+// truncation rule (RFC 2181 §9): the record that does not fit is rolled
+// back, TC is set and every later record is dropped. Questions and the OPT
+// RR always stay; room for the OPT RR is kept from the start.
+class MessageWriter {
+ public:
+  enum class Section { kAnswer = 1, kAuthority = 2, kAdditional = 3 };
+
+  // `edns` (nullable) must outlive the writer.
+  MessageWriter(const Header& header, size_t max_size, const Edns* edns);
+
+  void AddQuestion(const Question& question);
+  // Appends one record; sections must come in wire order. Returns false
+  // (writing nothing) once the message is full.
+  bool AddRecord(Section section, const Name& owner, RRType type,
+                 RRClass klass, uint32_t ttl, const Rdata& rdata);
+
+  // Appends the OPT RR, patches counts and flags, and returns the message.
+  Bytes Finish() &&;
+
+ private:
+  ByteWriter writer_;
+  NameCompressor compressor_;
+  uint16_t flags_;
+  const Edns* edns_;
+  size_t body_limit_;
+  uint16_t counts_[4] = {0, 0, 0, 0};  // questions, then the three sections
+  bool truncated_ = false;
+};
+
 struct Message {
   // Header.
   uint16_t id = 0;

@@ -1,13 +1,25 @@
 #include "dns/name.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 
 namespace ldp::dns {
 namespace {
 
+// Case folding as a table (the froot-src maptolower idiom): ASCII A-Z only,
+// every other octet maps to itself.
+constexpr std::array<uint8_t, 256> MakeFoldTable() {
+  std::array<uint8_t, 256> table{};
+  for (size_t c = 0; c < 256; ++c) {
+    table[c] = static_cast<uint8_t>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c);
+  }
+  return table;
+}
+constexpr std::array<uint8_t, 256> kFold = MakeFoldTable();
+
 char FoldCase(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return static_cast<char>(kFold[static_cast<uint8_t>(c)]);
 }
 
 bool LabelEquals(const std::string& a, const std::string& b) {
@@ -248,26 +260,103 @@ size_t Name::Hash() const {
   return h;
 }
 
-void NameCompressor::EncodeInternal(const Name& name, ByteWriter& writer,
-                                    bool compress) {
-  const auto& labels = name.labels();
-  for (size_t i = 0; i < labels.size(); ++i) {
-    // Suffix starting at label i, as a canonical key.
-    std::string key;
-    for (size_t j = i; j < labels.size(); ++j) {
-      for (char c : labels[j]) key.push_back(FoldCase(c));
-      key.push_back('.');
+namespace {
+
+constexpr uint32_t kFnvBasis = 2166136261u;
+constexpr uint32_t kFnvPrime = 16777619u;
+
+// Extends a suffix hash by one label to its left: the length octet, then
+// the case-folded label octets.
+uint32_t HashLabel(uint32_t h, const std::string& label) {
+  h = (h ^ static_cast<uint8_t>(label.size())) * kFnvPrime;
+  for (char c : label) h = (h ^ kFold[static_cast<uint8_t>(c)]) * kFnvPrime;
+  return h;
+}
+
+// True if the name written at `offset` (following our own compression
+// pointers) equals labels[first..], case-insensitively.
+bool WrittenSuffixEquals(const Bytes& written, size_t offset,
+                         const std::vector<std::string>& labels,
+                         size_t first) {
+  size_t pos = offset;
+  int hops = 0;
+  for (size_t i = first;;) {
+    if (pos >= written.size()) return false;
+    uint8_t len = written[pos];
+    if ((len & 0xc0) == 0xc0) {
+      if (pos + 1 >= written.size() || ++hops > 64) return false;
+      pos = (static_cast<size_t>(len & 0x3f) << 8) | written[pos + 1];
+      continue;
     }
-    if (compress) {
-      auto it = suffix_offsets_.find(key);
-      if (it != suffix_offsets_.end()) {
-        writer.WriteU16(static_cast<uint16_t>(0xc000 | it->second));
-        return;
+    if (i == labels.size()) return len == 0;
+    const std::string& label = labels[i];
+    if (len != label.size() || pos + 1 + len > written.size()) return false;
+    for (size_t k = 0; k < len; ++k) {
+      if (kFold[written[pos + 1 + k]] != kFold[static_cast<uint8_t>(label[k])]) {
+        return false;
       }
     }
+    pos += 1 + len;
+    ++i;
+  }
+}
+
+}  // namespace
+
+uint16_t NameCompressor::Find(uint32_t hash, const Bytes& written,
+                              const std::vector<std::string>& labels,
+                              size_t first) {
+  Slot* table = slots();
+  for (size_t i = hash & mask_; table[i].offset != kEmpty;
+       i = (i + 1) & mask_) {
+    if (table[i].hash == hash &&
+        WrittenSuffixEquals(written, table[i].offset, labels, first)) {
+      return table[i].offset;
+    }
+  }
+  return kEmpty;
+}
+
+void NameCompressor::Insert(uint32_t hash, uint16_t offset) {
+  if ((used_ + 1) * 4 > (mask_ + 1) * 3) {
+    // Past 3/4 full: rehash into a table twice the size.
+    std::vector<Slot> grown((mask_ + 1) * 2);
+    size_t grown_mask = grown.size() - 1;
+    Slot* old = slots();
+    for (size_t i = 0; i <= mask_; ++i) {
+      if (old[i].offset == kEmpty) continue;
+      size_t j = old[i].hash & grown_mask;
+      while (grown[j].offset != kEmpty) j = (j + 1) & grown_mask;
+      grown[j] = old[i];
+    }
+    spill_ = std::move(grown);
+    mask_ = grown_mask;
+  }
+  Slot* table = slots();
+  size_t i = hash & mask_;
+  while (table[i].offset != kEmpty) i = (i + 1) & mask_;
+  table[i] = Slot{hash, offset};
+  ++used_;
+}
+
+void NameCompressor::Encode(const Name& name, ByteWriter& writer) {
+  const auto& labels = name.labels();
+  // Suffix hashes, built from the rightmost label so each extends the
+  // hash of the suffix to its right.
+  std::array<uint32_t, kMaxNameWireLength / 2> hashes;
+  uint32_t h = kFnvBasis;
+  for (size_t i = labels.size(); i-- > 0;) {
+    h = HashLabel(h, labels[i]);
+    hashes[i] = h;
+  }
+  for (size_t i = 0; i < labels.size(); ++i) {
+    uint16_t offset = Find(hashes[i], writer.data(), labels, i);
+    if (offset != kEmpty) {
+      writer.WriteU16(static_cast<uint16_t>(0xc000 | offset));
+      return;
+    }
     if (writer.size() <= 0x3fff) {
-      suffix_offsets_.emplace(std::move(key),
-                              static_cast<uint16_t>(writer.size()));
+      Insert(hashes[i], static_cast<uint16_t>(writer.size()));
     }
     writer.WriteU8(static_cast<uint8_t>(labels[i].size()));
     writer.WriteString(labels[i]);
@@ -275,12 +364,22 @@ void NameCompressor::EncodeInternal(const Name& name, ByteWriter& writer,
   writer.WriteU8(0);
 }
 
-void NameCompressor::Encode(const Name& name, ByteWriter& writer) {
-  EncodeInternal(name, writer, /*compress=*/true);
+void NameKey::Assign(const Name& name) {
+  labels_ = 0;
+  const auto& labels = name.labels();
+  for (size_t i = labels.size(); i-- > 0;) PushLabel(labels[i]);
 }
 
-void NameCompressor::EncodeUncompressed(const Name& name, ByteWriter& writer) {
-  EncodeInternal(name, writer, /*compress=*/false);
+void NameKey::PushLabel(std::string_view label) {
+  size_t pos = ends_[labels_];
+  for (char c : label) {
+    uint8_t folded = kFold[static_cast<uint8_t>(c)];
+    bytes_[pos++] = static_cast<char>(folded);
+    if (folded == 0) bytes_[pos++] = static_cast<char>(0xff);
+  }
+  bytes_[pos++] = 0;
+  bytes_[pos++] = 0;
+  ends_[++labels_] = static_cast<uint16_t>(pos);
 }
 
 void EncodeNameUncompressed(const Name& name, ByteWriter& writer) {

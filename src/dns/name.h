@@ -3,10 +3,10 @@
 #ifndef LDPLAYER_DNS_NAME_H
 #define LDPLAYER_DNS_NAME_H
 
+#include <array>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -76,24 +76,74 @@ class Name {
   std::vector<std::string> labels_;  // leftmost label first
 };
 
-// Tracks name→offset mappings while encoding a message so later names can
-// emit compression pointers (RFC 1035 §4.1.4). One compressor per message.
+// Tracks where names were written while encoding a message so later names
+// can emit compression pointers (RFC 1035 §4.1.4). One compressor per
+// message. The table is flat: a (suffix hash, offset) pair per written
+// suffix, in open addressing. A hash hit is only a candidate; it counts once
+// the bytes already written at that offset spell the same suffix, so no
+// suffix string is ever built and labels holding '.' never alias.
 class NameCompressor {
  public:
+  NameCompressor() = default;
+  NameCompressor(const NameCompressor&) = delete;
+  NameCompressor& operator=(const NameCompressor&) = delete;
+
   // Appends the wire form of `name` to `writer`, emitting a pointer to a
   // previously written suffix when one exists, and recording newly written
   // suffixes (only offsets < 0x3fff are recordable).
   void Encode(const Name& name, ByteWriter& writer);
 
-  // Appends without compression but still records suffix offsets so later
-  // names may point into this one (used for RRSIG signer names etc., which
-  // must not be compressed but historically may be pointed at).
-  void EncodeUncompressed(const Name& name, ByteWriter& writer);
+ private:
+  struct Slot {
+    uint32_t hash = 0;
+    uint16_t offset = kEmpty;
+  };
+  static constexpr uint16_t kEmpty = 0xffff;  // never a recordable offset
+  static constexpr size_t kInlineSlots = 64;
+
+  Slot* slots() { return spill_.empty() ? table_.data() : spill_.data(); }
+  // The offset of a written suffix equal to labels[first..], or kEmpty.
+  uint16_t Find(uint32_t hash, const Bytes& written,
+                const std::vector<std::string>& labels, size_t first);
+  void Insert(uint32_t hash, uint16_t offset);
+
+  std::array<Slot, kInlineSlots> table_;
+  std::vector<Slot> spill_;  // takes over once the inline table fills
+  size_t mask_ = kInlineSlots - 1;
+  size_t used_ = 0;
+};
+
+// A name's key in the zone index (zone/zone.h), built on the stack. Labels
+// are case-folded and written rightmost first; in each label 0x00 becomes
+// 00 FF and the label ends with 00 00. So keys compare with memcmp exactly
+// as names do under Name::operator< (RFC 4034 §6.1), whatever octets the
+// labels hold, and the key of every ancestor is a prefix of the key.
+class NameKey {
+ public:
+  // Longest key: every label octet escaped, plus a terminator per label.
+  static constexpr size_t kMaxLength = 2 * (kMaxNameWireLength - 1);
+
+  NameKey() = default;
+  explicit NameKey(const Name& name) { Assign(name); }
+
+  void Assign(const Name& name);
+  // Makes `label` the new leftmost label (e.g. "*" for a wildcard). The
+  // result must still be a valid name: at most 255 octets on the wire.
+  void PushLabel(std::string_view label);
+  // Keeps the rightmost `labels` labels.
+  void Truncate(size_t labels) { labels_ = labels; }
+
+  size_t label_count() const { return labels_; }
+  std::string_view view() const { return Prefix(labels_); }
+  // The key of the ancestor keeping the rightmost `labels` labels.
+  std::string_view Prefix(size_t labels) const {
+    return std::string_view(bytes_.data(), ends_[labels]);
+  }
 
  private:
-  void EncodeInternal(const Name& name, ByteWriter& writer, bool compress);
-
-  std::unordered_map<std::string, uint16_t> suffix_offsets_;
+  size_t labels_ = 0;
+  std::array<uint16_t, kMaxNameWireLength / 2 + 1> ends_{};  // per label count
+  std::array<char, kMaxLength> bytes_;
 };
 
 // Decodes a wire-format name starting at the reader's cursor, following

@@ -213,7 +213,10 @@ size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
 void UdpSocket::OnReadable() {
   // Drain the socket in recvmmsg batches: level-triggered epoll would
   // re-arm anyway, but draining cuts wakeups at high rates. The per-event
-  // cap bounds how long one busy socket can starve its loop siblings.
+  // cap bounds how long one busy socket can starve its loop siblings. A
+  // short batch means the queue was empty: stop there rather than pay for
+  // a recvmmsg that only returns EAGAIN. Anything that arrives later keeps
+  // the socket readable, so epoll reports it again.
   constexpr size_t kMaxPerEvent = 8 * kBatchSize;
   RecvItem items[kBatchSize];
   size_t total = 0;
@@ -228,6 +231,7 @@ void UdpSocket::OnReadable() {
         on_datagram_(items[i].payload, items[i].from);
       }
     }
+    if (got < kBatchSize) return;
   }
 }
 

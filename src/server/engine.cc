@@ -78,42 +78,37 @@ void AuthServerEngine::BumpRcode(dns::Rcode rcode) {
   if (rcode == dns::Rcode::kRefused) Bump(stats_.refused);
 }
 
-dns::Message AuthServerEngine::HandleQuery(const dns::Message& query,
-                                           IpAddress source) {
+void AuthServerEngine::Answer(const dns::Message& query, IpAddress source) {
   Bump(stats_.queries);
-
   const zone::ZoneSet* zones = views_->Match(source);
   const zone::Zone* zone = nullptr;
   if (zones != nullptr && !query.questions.empty()) {
     zone = zones->FindBestZone(query.questions.front().name);
   }
-
-  dns::Message response;
   if (zone == nullptr) {
     // No zone for this name in the matched view: REFUSED, like BIND with
     // no matching zone clause.
-    response.id = query.id;
-    response.qr = true;
-    response.opcode = query.opcode;
-    response.rd = query.rd;
-    response.questions = query.questions;
-    response.rcode = dns::Rcode::kRefused;
+    response_.Clear();
+    response_.rcode = dns::Rcode::kRefused;
     if (query.edns.has_value()) {
       // Echo the client's advertised payload size (RFC 6891 §6.2.3: the
       // OPT in a response states *our* capability, but for a zoneless
       // REFUSED the paper-faithful behaviour is a plain echo).
-      response.edns =
+      response_.edns =
           dns::Edns{.udp_payload_size = query.edns->udp_payload_size};
     }
-    Bump(stats_.refused);
   } else {
     bool want_dnssec = query.edns.has_value() && query.edns->do_bit;
-    response = zone::BuildResponse(*zone, query, want_dnssec);
-    if (response.rcode == dns::Rcode::kNxDomain) Bump(stats_.nxdomain);
-    if (response.rcode == dns::Rcode::kRefused) Bump(stats_.refused);
+    zone::AssembleResponse(*zone, query, want_dnssec, response_);
   }
+  BumpRcode(response_.rcode);
   Bump(stats_.responses);
-  return response;
+}
+
+dns::Message AuthServerEngine::HandleQuery(const dns::Message& query,
+                                           IpAddress source) {
+  Answer(query, source);
+  return zone::ToMessage(query, response_);
 }
 
 Result<std::vector<Bytes>> AuthServerEngine::HandleAxfr(
@@ -192,8 +187,9 @@ Result<std::vector<Bytes>> AuthServerEngine::HandleStream(
       query->questions.front().type == dns::RRType::kAXFR) {
     return HandleAxfr(*query, source);
   }
-  dns::Message response = HandleQuery(*query, source);
-  Bytes encoded = response.Encode(dns::kMaxMessageSize);
+  Answer(*query, source);
+  Bytes encoded =
+      zone::EncodeResponse(*query, response_, dns::kMaxMessageSize);
   Bump(stats_.response_bytes, encoded.size());
   return std::vector<Bytes>{std::move(encoded)};
 }
@@ -259,8 +255,8 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
       udp_limit, query->edns.has_value(),
       query->edns.has_value() ? query->edns->udp_payload_size : 0);
 
-  dns::Message response = HandleQuery(*query, source);
-  Bytes encoded = response.Encode(limit);
+  Answer(*query, source);
+  Bytes encoded = zone::EncodeResponse(*query, response_, limit);
   // TC is patched into the wire during truncation; detect via re-check of
   // the flags byte rather than re-decoding the whole message.
   bool truncated = encoded.size() >= 4 && (encoded[2] & 0x02);
@@ -268,7 +264,7 @@ Result<Bytes> AuthServerEngine::HandleWire(std::span<const uint8_t> wire,
   Bump(stats_.response_bytes, encoded.size());
 
   if (cacheable && !truncated) {
-    cache_->Insert(std::move(scratch_key_), encoded, response.rcode);
+    cache_->Insert(std::move(scratch_key_), encoded, response_.rcode);
     stats_.cache_evictions.store(cache_->evictions(),
                                  std::memory_order_relaxed);
     stats_.cache_size.store(cache_->size(), std::memory_order_relaxed);

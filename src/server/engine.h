@@ -59,7 +59,8 @@ class AuthServerEngine {
                              std::move(views)),
                          options) {}
 
-  // Serves one decoded query. `source` selects the split-horizon view.
+  // Serves one decoded query as a message (the wire entry points below
+  // encode the same assembly directly). `source` selects the view.
   dns::Message HandleQuery(const dns::Message& query, IpAddress source);
 
   // Wire-to-wire: decode, serve, encode. `udp_limit` caps the response size
@@ -113,12 +114,20 @@ class AuthServerEngine {
   };
 
   void BumpRcode(dns::Rcode rcode);
+  // Answers a decoded query into response_: the zone for its name in the
+  // view matched by `source` assembles it, or it is a zoneless REFUSED.
+  // Counts the query and the response.
+  void Answer(const dns::Message& query, IpAddress source);
 
   std::shared_ptr<const zone::ViewTable> views_;
   std::unique_ptr<ResponseCache> cache_;  // nullptr = disabled
   // Key staging for HandleWire, reused across queries so the hot path
   // amortizes the question-bytes allocation (engines are single-threaded).
   ResponseCacheKey scratch_key_;
+  // The response being served, as references into the zone and into the
+  // query (read only until the call that answers that query returns);
+  // reused so the miss path keeps its section vectors' capacity.
+  zone::Response response_;
   Counters stats_;
 };
 

@@ -87,24 +87,27 @@ Status SignZone(Zone& zone, const DnssecConfig& config) {
   };
   std::vector<Target> to_sign;
   // NSEC chain members: every name with any authoritative data or a cut
-  // (cuts appear in the chain with their NS bit, unsigned).
-  std::map<dns::Name, std::vector<dns::RRType>> nsec_types;
+  // (cuts appear in the chain with their NS bit, unsigned), in canonical
+  // order, each with its types.
+  std::vector<std::pair<dns::Name, std::vector<dns::RRType>>> nsec_types;
   zone.ForEachRRset([&](const dns::RRset& rrset) {
     if (below_cut(rrset.name)) return;
-    nsec_types[rrset.name].push_back(rrset.type);
+    if (nsec_types.empty() || nsec_types.back().first != rrset.name) {
+      nsec_types.emplace_back(rrset.name, std::vector<dns::RRType>{});
+    }
+    nsec_types.back().second.push_back(rrset.type);
     if (is_authoritative(rrset)) {
       to_sign.push_back(Target{rrset.name, rrset.type, rrset.ttl});
     }
   });
 
-  // 3. NSEC chain in canonical order, wrapping to the apex.
-  std::vector<dns::Name> chain;
-  chain.reserve(nsec_types.size());
-  for (const auto& [name, types] : nsec_types) chain.push_back(name);
-  for (size_t i = 0; i < chain.size(); ++i) {
-    const dns::Name& owner = chain[i];
-    const dns::Name& next = chain[(i + 1) % chain.size()];
-    std::vector<dns::RRType> types = nsec_types[owner];
+  // 3. NSEC chain in canonical order, wrapping to the apex. The records go
+  // in back to front: each new NSEC node then takes over the index's cover
+  // only up to the next NSEC node, which keeps signing linear (zone.h).
+  for (size_t i = nsec_types.size(); i-- > 0;) {
+    const dns::Name& owner = nsec_types[i].first;
+    const dns::Name& next = nsec_types[(i + 1) % nsec_types.size()].first;
+    std::vector<dns::RRType> types = std::move(nsec_types[i].second);
     types.push_back(dns::RRType::kRRSIG);
     types.push_back(dns::RRType::kNSEC);
     std::sort(types.begin(), types.end(), [](dns::RRType a, dns::RRType b) {
@@ -114,11 +117,10 @@ Status SignZone(Zone& zone, const DnssecConfig& config) {
     dns::NsecRdata nsec{next, std::move(types)};
     LDP_RETURN_IF_ERROR(zone.AddRecord(dns::ResourceRecord{
         owner, dns::RRType::kNSEC, dns::RRClass::kIN, soa->ttl, nsec}));
-    bool at_cut =
-        std::find(cuts.begin(), cuts.end(), owner) != cuts.end();
-    // NSEC records are themselves signed (even at cuts, where the NSEC is
-    // authoritative parent-side data).
-    (void)at_cut;
+  }
+  // NSEC records are themselves signed (even at cuts, where the NSEC is
+  // authoritative parent-side data).
+  for (const auto& [owner, types] : nsec_types) {
     to_sign.push_back(Target{owner, dns::RRType::kNSEC, soa->ttl});
   }
 

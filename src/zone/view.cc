@@ -1,47 +1,57 @@
 #include "zone/view.h"
 
+#include <algorithm>
+
 namespace ldp::zone {
 
 Status ZoneSet::AddZone(ZonePtr zone) {
   if (zone == nullptr) {
     return Error(ErrorCode::kInvalidArgument, "null zone");
   }
-  auto [it, inserted] = zones_.emplace(zone->origin(), std::move(zone));
-  if (!inserted) {
+  dns::NameKey key(zone->origin());
+  auto it = std::lower_bound(
+      zones_.begin(), zones_.end(), key.view(),
+      [](const Entry& entry, std::string_view k) {
+        return entry.key < k;
+      });
+  if (it != zones_.end() && it->key == key.view()) {
     return Error(ErrorCode::kAlreadyExists,
-                 "zone already present: " + it->first.ToString());
+                 "zone already present: " + zone->origin().ToString());
   }
+  zones_.insert(it, Entry{std::string(key.view()), std::move(zone)});
   return Status::Ok();
 }
 
+const ZoneSet::Entry* ZoneSet::Find(std::string_view key) const {
+  auto it = std::lower_bound(
+      zones_.begin(), zones_.end(), key,
+      [](const Entry& entry, std::string_view k) {
+        return entry.key < k;
+      });
+  return it != zones_.end() && it->key == key ? &*it : nullptr;
+}
+
 const Zone* ZoneSet::FindBestZone(const dns::Name& qname) const {
-  // Walk the ancestor chain from qname to the root; the first hit is the
-  // deepest origin. O(labels) hash lookups.
-  dns::Name current = qname;
-  while (true) {
-    auto it = zones_.find(current);
-    if (it != zones_.end()) return it->second.get();
-    if (current.IsRoot()) return nullptr;
-    current = *current.Parent();
+  // Walk the ancestor keys from qname to the root; the first hit is the
+  // deepest origin. O(labels) binary searches, no names built.
+  dns::NameKey key(qname);
+  for (size_t labels = key.label_count() + 1; labels-- > 0;) {
+    if (const Entry* entry = Find(key.Prefix(labels))) {
+      return entry->zone.get();
+    }
   }
+  return nullptr;
 }
 
 ZonePtr ZoneSet::FindZone(const dns::Name& origin) const {
-  auto it = zones_.find(origin);
-  return it == zones_.end() ? nullptr : it->second;
-}
-
-std::vector<dns::Name> ZoneSet::Origins() const {
-  std::vector<dns::Name> out;
-  out.reserve(zones_.size());
-  for (const auto& [origin, zone] : zones_) out.push_back(origin);
-  return out;
+  const Entry* entry = Find(dns::NameKey(origin).view());
+  return entry != nullptr ? entry->zone : nullptr;
 }
 
 size_t ZoneSet::TotalMemoryFootprint() const {
   size_t total = 0;
-  for (const auto& [origin, zone] : zones_) {
-    total += zone->MemoryFootprint();
+  for (const Entry& entry : zones_) {
+    total += entry.zone->MemoryFootprint();
   }
   return total;
 }

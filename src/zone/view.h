@@ -7,6 +7,7 @@
 #define LDPLAYER_ZONE_VIEW_H
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -27,11 +28,17 @@ class ZoneSet {
   ZonePtr FindZone(const dns::Name& origin) const;
 
   size_t zone_count() const { return zones_.size(); }
-  std::vector<dns::Name> Origins() const;
   size_t TotalMemoryFootprint() const;
 
  private:
-  std::unordered_map<dns::Name, ZonePtr> zones_;  // keyed by origin
+  struct Entry {
+    std::string key;  // dns::NameKey of the origin
+    ZonePtr zone;
+  };
+  // The zone whose origin has exactly this key, or nullptr.
+  const Entry* Find(std::string_view key) const;
+
+  std::vector<Entry> zones_;  // sorted by key
 };
 
 // BIND-style views with match-clients lists of explicit addresses. The

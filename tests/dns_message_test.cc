@@ -94,6 +94,57 @@ TEST(Message, CompressionReducesSize) {
   EXPECT_LT(wire.size(), uncompressed);
 }
 
+TEST(Message, CompressionKeepsDottedLabelsApart) {
+  // "a\.b.c." has labels {"a.b", "c"}; "a.b\.c." has {"a", "b.c"}. Joined
+  // with dots both read "a.b.c.", but they are different names, so the
+  // answer owner must not be written as a pointer to the question.
+  Message msg;
+  msg.qr = true;
+  msg.questions.push_back(
+      Question{*Name::Parse("a\\.b.c."), RRType::kA, RRClass::kIN});
+  msg.answers.push_back(ResourceRecord{*Name::Parse("a.b\\.c."), RRType::kA,
+                                       RRClass::kIN, 60,
+                                       ARdata{IpAddress(192, 0, 2, 7)}});
+  auto decoded = Message::Decode(msg.Encode());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->answers.size(), 1u);
+  EXPECT_EQ(decoded->questions[0].name.labels(),
+            (std::vector<std::string>{"a.b", "c"}));
+  EXPECT_EQ(decoded->answers[0].name.labels(),
+            (std::vector<std::string>{"a", "b.c"}));
+  EXPECT_EQ(decoded->Encode(), msg.Encode());
+}
+
+TEST(Message, CompressionPointsOnlyAtEqualSuffixes) {
+  // Labels holding '.' and 0x00 next to look-alike plain labels: every
+  // name must decode as written (up to case, which compression folds), and
+  // equal suffixes must still compress.
+  std::vector<Name> names = {
+      *Name::FromLabels({"x", "a.b", "c"}),
+      *Name::FromLabels({"y", "a", "b.c"}),
+      *Name::FromLabels({"z", "a", "b", "c"}),
+      *Name::FromLabels({"w", std::string("a\0b", 3), "c"}),
+      *Name::FromLabels({"v", "A", "B", "C"}),
+  };
+  Message msg;
+  msg.qr = true;
+  for (const Name& name : names) {
+    msg.answers.push_back(ResourceRecord{name, RRType::kA, RRClass::kIN, 60,
+                                         ARdata{IpAddress(192, 0, 2, 8)}});
+  }
+  Bytes wire = msg.Encode();
+  auto decoded = Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->answers.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(decoded->answers[i].name, names[i]) << i;
+  }
+  // "v.A.B.C." shares all of "a.b.c." with "z.a.b.c.": 2 bytes for "v",
+  // then a pointer.
+  size_t last_record = 10 + 4;  // fixed fields + A rdata
+  EXPECT_EQ(wire[wire.size() - last_record - 2] & 0xc0, 0xc0);
+}
+
 TEST(Message, TruncationSetsTcAndKeepsQuestion) {
   Message msg = SampleResponse();
   // Many answers so that a 512-byte limit overflows.

@@ -416,6 +416,51 @@ TEST(UdpSockets, BatchSendAndBatchReceive) {
   EXPECT_LT(handler_calls, payloads.size()) << "expected batched delivery";
 }
 
+TEST(UdpSockets, ShortBatchEndsTheWakeupWithoutLosingLaterDatagrams) {
+  auto loop = EventLoop::Create();
+  ASSERT_TRUE(loop.ok());
+
+  auto sender_result =
+      UdpSocket::Bind(**loop, Endpoint{IpAddress::Loopback(), 0},
+                      [](std::span<const uint8_t>, Endpoint) {});
+  ASSERT_TRUE(sender_result.ok());
+  auto sender = std::move(*sender_result);
+
+  std::vector<Bytes> got;
+  std::vector<size_t> batch_sizes;
+  std::unique_ptr<UdpSocket> receiver;
+  auto receiver_result = UdpSocket::BindBatch(
+      **loop, Endpoint{IpAddress::Loopback(), 0},
+      [&](std::span<const UdpSocket::RecvItem> batch) {
+        batch_sizes.push_back(batch.size());
+        for (const auto& item : batch) {
+          got.emplace_back(item.payload.begin(), item.payload.end());
+        }
+        if (batch_sizes.size() == 1) {
+          // Arrives after the short batch was read, within the same wakeup.
+          Bytes late{9, 9, 9};
+          EXPECT_TRUE(sender->SendTo(late, receiver->local()).ok());
+        }
+      });
+  ASSERT_TRUE(receiver_result.ok());
+  receiver = std::move(*receiver_result);
+
+  for (uint8_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sender->SendTo(Bytes{i}, receiver->local()).ok());
+  }
+  // The first wakeup reads the 3 queued datagrams as one short batch and
+  // stops there, leaving the late one queued ...
+  ASSERT_TRUE((*loop)->RunOnce(Seconds(2)).ok());
+  ASSERT_EQ(batch_sizes, std::vector<size_t>{3});
+  // ... and level-triggered epoll reports the socket again for it.
+  for (int i = 0; i < 10 && got.size() < 4; ++i) {
+    ASSERT_TRUE((*loop)->RunOnce(Seconds(2)).ok());
+  }
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got.back(), (Bytes{9, 9, 9}));
+  EXPECT_EQ(batch_sizes.size(), 2u);
+}
+
 TEST(UdpSockets, ReusePortSharesAnAddress) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
