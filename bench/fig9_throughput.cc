@@ -6,9 +6,10 @@
 // bottlenecked on the query generator's single core; twice the normal
 // B-Root rate.
 //
-// Four phases: "before" replays against a 1-shard server with per-datagram
-// syscalls (the original path), "after" uses 4 SO_REUSEPORT shards, the
-// wire-level response cache, and batched sendmmsg/recvmmsg on both sides,
+// Four phases: "before" replays against a 1-shard server without the
+// response cache, "after" uses 4 SO_REUSEPORT shards, the wire-level
+// response cache and a 4 MiB receive buffer per shard (the client batches
+// its sends with sendmmsg in every phase),
 // "after+metrics" reruns the fast path with the live-metrics layer
 // enabled — the per-window rate table comes from its JSONL snapshots, and
 // the rate delta vs the plain fast path is the metrics overhead (budget:
@@ -34,7 +35,6 @@ struct PhaseResult {
   double send_window_rate_qps = 0;  // sends / (last send - first send)
   double served_rate_qps = 0;   // queries the server answered / wall time
   uint64_t queries_sent = 0;
-  uint64_t replies = 0;
   // Terminal-outcome accounting: sent == answered + timed_out + send_failed,
   // so client-side loss under overload is explicit, not inferred.
   uint64_t answered = 0;
@@ -51,7 +51,7 @@ struct PhaseResult {
 // rows an operator would tail during a real replay.
 std::optional<PhaseResult> RunPhase(
     const char* name, std::vector<trace::QueryRecord> records,
-    const bench::LoopbackOptions& server_options, bool batch_udp,
+    const bench::LoopbackOptions& server_options,
     stats::Table* table, stats::MetricsRegistry* metrics = nullptr,
     stats::MetricsSnapshotter* snapshotter = nullptr) {
   bench::LoopbackOptions options = server_options;
@@ -67,7 +67,6 @@ std::optional<PhaseResult> RunPhase(
   replay::RealtimeConfig config;
   config.server = server->endpoint();
   config.fast_mode = true;
-  config.batch_udp = batch_udp;
   config.n_distributors = 1;
   config.queriers_per_distributor = 6;
   // Queriers ride the same transport as the server: mixed epoll/afpacket
@@ -89,7 +88,6 @@ std::optional<PhaseResult> RunPhase(
 
   PhaseResult result;
   result.queries_sent = report->queries_sent;
-  result.replies = report->replies;
   result.answered = report->answered;
   result.timed_out = report->timed_out;
   result.send_failed = report->send_failed;
@@ -196,10 +194,9 @@ int main() {
     records.push_back(proto);
   }
 
-  // Phase 1 — the original single-syscall path: one shard, no response
-  // cache, one sendto per query.
-  auto before = RunPhase("before (1 shard, no cache, per-datagram io)",
-                         records, bench::LoopbackOptions{}, false, nullptr);
+  // Phase 1 — the single-shard server: one shard, no response cache.
+  auto before = RunPhase("before (1 shard, no cache)",
+                         records, bench::LoopbackOptions{}, nullptr);
   if (!before) return 1;
 
   // Phase 2 — the multi-core fast path: 4 SO_REUSEPORT shards, wire-level
@@ -209,7 +206,7 @@ int main() {
   fast.response_cache_entries = 1024;
   fast.udp_recv_buffer_bytes = 4 << 20;
   auto after = RunPhase("after  (4 shards, cache, batched io)", records,
-                        fast, true, nullptr);
+                        fast, nullptr);
   if (!after) return 1;
 
   // Phase 3 — the fast path again with the live-metrics layer recording on
@@ -229,7 +226,7 @@ int main() {
   stats::Table table({"window", "queries", "rate", "bandwidth"});
   auto with_metrics =
       RunPhase("after+metrics (fast path, live snapshots)", records, fast,
-               true, &table, &registry, &snapshotter);
+               &table, &registry, &snapshotter);
   if (!with_metrics) return 1;
 
   // Phase 4 — the fast path over the AF_PACKET datapath on both sides:
@@ -245,7 +242,7 @@ int main() {
     bench::LoopbackOptions ring = fast;
     ring.datapath = net::DatapathKind::kAfPacket;
     afpacket = RunPhase("afpacket (4 fanout rings, cache, ring tx)",
-                        records, ring, true, nullptr);
+                        records, ring, nullptr);
     if (!afpacket) return 1;
   }
 

@@ -5,10 +5,11 @@
 # subsystems (sharded server, batched sockets, realtime replay, response
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
-# timer wheel expiry, TLS handshake/resumption, sharded TCP accept) under
-# AddressSanitizer (-DLDP_SANITIZE=address) together with the zone index
-# (zone_test, lookup oracle, wire byte identity), and the whole suite under
-# UndefinedBehaviorSanitizer (-DLDP_SANITIZE=undefined, every report fatal).
+# timer wheel expiry, TLS handshake/resumption, sharded TCP accept, distrib
+# agents) under AddressSanitizer (-DLDP_SANITIZE=address) together with the
+# zone index (zone_test, lookup oracle, wire byte identity), and the whole
+# suite under UndefinedBehaviorSanitizer (-DLDP_SANITIZE=undefined, every
+# report fatal).
 #
 #   scripts/verify.sh [--skip-tsan]   # skips the three sanitizer stages
 set -eu
@@ -436,17 +437,18 @@ cmake --build build-tsan -j"$(nproc)" --target \
 ctest --test-dir build-tsan --output-on-failure \
   -R 'net_test|sharded_server_test|response_cache_test|server_test|replay_realtime_test|metrics_test|stats_test|proxy_relay_test|distrib_test|hashring_test|packet_codec_test|datapath_test|tls_test|scenario_test'
 
-echo "== asan: socket + replay lifetime paths, zone index =="
+echo "== asan: socket + replay lifetime paths, distrib agents, zone index =="
 # The zone index hands out offsets into its key arena and references into
 # shared zone storage; zone_test, the lookup oracle and the wire byte-identity
-# test walk those under ASan.
+# test walk those under ASan. distrib_test covers agents, which decode HELLO
+# from the network and run the replay querier.
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test zone_test lookup_oracle_test \
-  wire_identity_test
+  wire_identity_test distrib_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|zone_test|lookup_oracle_test|wire_identity_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|zone_test|lookup_oracle_test|wire_identity_test|distrib_test'
 
 echo "== ubsan: full suite, reports fatal =="
 # CMakeLists.txt adds -fno-sanitize-recover=undefined for this sanitizer,

@@ -116,12 +116,10 @@ Status AgentServer::HandleHello(const Frame& frame) {
   }
   LDP_ASSIGN_OR_RETURN(hello_, DecodeHello(frame));
   got_hello_ = true;
-  config_ = hello_.ToRealtimeConfig();
   // The agent owns its metrics: the registry feeds both the local JSONL
   // file and the STATS frames. The pipeline's internal snapshotter stays
   // unset — WriteNow must run on this loop thread, not distributor 0's.
-  config_.metrics = &registry_;
-  config_.snapshotter = nullptr;
+  hello_.config.metrics = &registry_;
   if (!options_.metrics_path.empty()) {
     stats::MetricsSnapshotter::Options snap_options;
     snap_options.path = options_.metrics_path;
@@ -146,9 +144,9 @@ Status AgentServer::HandleStart(const Frame& frame) {
   LDP_ASSIGN_OR_RETURN(auto start, DecodeStart(frame));
   epoch_mono_ = start.epoch_mono;
   // Chunk timestamps arrive pre-rebased, so the trace epoch is 0.
-  LDP_ASSIGN_OR_RETURN(pipeline_,
-                       replay::ReplayPipeline::Start(config_, epoch_mono_,
-                                                     /*trace_epoch=*/0));
+  LDP_ASSIGN_OR_RETURN(
+      pipeline_, replay::ReplayPipeline::Start(hello_.config, epoch_mono_,
+                                               /*trace_epoch=*/0));
   RearmPump();
   RearmStats();
   return Status::Ok();
@@ -172,17 +170,13 @@ Status AgentServer::HandleChunk(const Frame& frame) {
 void AgentServer::Pump() {
   if (!pipeline_ || stopped_) return;
   const NanoTime window_end =
-      config_.fast_mode
+      hello_.config.fast_mode
           ? std::numeric_limits<NanoTime>::max()
-          : (MonotonicNow() - epoch_mono_) + config_.lookahead;
+          : (MonotonicNow() - epoch_mono_) + hello_.config.lookahead;
   while (!staging_.empty()) {
     StagedChunk& chunk = staging_.front();
-    // Engine backlog: queries fed but not yet terminal (with timeouts off,
-    // not yet sent — terminal outcomes never arrive in that mode).
-    const uint64_t backlog =
-        config_.query_timeout > 0
-            ? pipeline_->fed() - pipeline_->TerminalCount()
-            : pipeline_->fed() - pipeline_->SentCount();
+    // Engine backlog: queries fed but not yet terminal.
+    const uint64_t backlog = pipeline_->fed() - pipeline_->TerminalCount();
     if (backlog >= options_.max_outstanding) return;
     const uint64_t room = options_.max_outstanding - backlog;
     size_t end = chunk.cursor;

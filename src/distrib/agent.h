@@ -82,7 +82,6 @@ class AgentServer {
 
   stats::MetricsRegistry registry_;
   std::unique_ptr<stats::MetricsSnapshotter> snapshotter_;
-  replay::RealtimeConfig config_;
   HelloFrame hello_;
   bool got_hello_ = false;
 

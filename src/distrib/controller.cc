@@ -202,10 +202,10 @@ void Controller::OnConnected(size_t index, Status status) {
 
 void Controller::SendHello(size_t index) {
   Agent& a = agents_[index];
-  HelloFrame hello = HelloFrame::FromConfig(options_.config);
-  hello.agent_id = a.status.id;
-  hello.credit_window = options_.credit_window;
-  hello.stats_interval = options_.stats_interval;
+  HelloFrame hello{.agent_id = a.status.id,
+                   .credit_window = options_.credit_window,
+                   .stats_interval = options_.stats_interval,
+                   .config = options_.config};
   a.state = AgentState::kHello;
   (void)a.conn->Send(EncodeHello(hello));
 }

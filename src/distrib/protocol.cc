@@ -62,88 +62,34 @@ constexpr uint32_t kMaxSnapshotEntries = 65536;
 
 // --- HELLO ---
 
-replay::RealtimeConfig HelloFrame::ToRealtimeConfig() const {
-  replay::RealtimeConfig config;
-  config.server = server;
-  config.follow_trace_dst = follow_trace_dst;
-  config.dst_port_override = dst_port_override;
-  config.loopback_alias_dst = loopback_alias_dst;
-  config.fast_mode = fast_mode;
-  config.batch_udp = batch_udp;
-  config.n_distributors = n_distributors;
-  config.queriers_per_distributor = queriers_per_distributor;
-  config.lookahead = lookahead;
-  config.drain_grace = drain_grace;
-  config.seed = seed;
-  config.query_timeout = query_timeout;
-  config.max_retransmits = max_retransmits;
-  config.tcp_idle_timeout = tcp_idle_timeout;
-  config.tcp_max_reconnects = tcp_max_reconnects;
-  config.datapath = datapath;
-  config.afpacket.interface = afpacket_interface;
-  config.afpacket.peer_mac = afpacket_peer_mac;
-  config.tls_port = tls_port;
-  return config;
-}
-
-HelloFrame HelloFrame::FromConfig(const replay::RealtimeConfig& config) {
-  HelloFrame hello;
-  hello.server = config.server;
-  hello.follow_trace_dst = config.follow_trace_dst;
-  hello.dst_port_override = config.dst_port_override;
-  hello.loopback_alias_dst = config.loopback_alias_dst;
-  hello.fast_mode = config.fast_mode;
-  hello.batch_udp = config.batch_udp;
-  hello.n_distributors = static_cast<uint16_t>(config.n_distributors);
-  hello.queriers_per_distributor =
-      static_cast<uint16_t>(config.queriers_per_distributor);
-  hello.lookahead = config.lookahead;
-  hello.drain_grace = config.drain_grace;
-  hello.seed = config.seed;
-  hello.query_timeout = config.query_timeout;
-  hello.max_retransmits = static_cast<uint16_t>(
-      std::max(config.max_retransmits, 0));
-  hello.tcp_idle_timeout = config.tcp_idle_timeout;
-  hello.tcp_max_reconnects = static_cast<uint16_t>(
-      std::max(config.tcp_max_reconnects, 0));
-  hello.datapath = config.datapath;
-  hello.afpacket_interface = config.afpacket.interface;
-  hello.afpacket_peer_mac = config.afpacket.peer_mac;
-  hello.tls_port = config.tls_port;
-  return hello;
-}
-
 Bytes EncodeHello(const HelloFrame& hello) {
+  const replay::RealtimeConfig& config = hello.config;
   ByteWriter body(96);
   body.WriteU32(kMagic);
   body.WriteU16(kVersion);
   body.WriteU16(hello.agent_id);
   body.WriteU32(hello.credit_window);
   WriteDuration(body, hello.stats_interval);
-  body.WriteU32(hello.server.addr.value());
-  body.WriteU16(hello.server.port);
+  body.WriteU32(config.server.addr.value());
+  body.WriteU16(config.server.port);
   uint8_t flags = 0;
-  if (hello.follow_trace_dst) flags |= 1;
-  if (hello.loopback_alias_dst) flags |= 2;
-  if (hello.fast_mode) flags |= 4;
-  if (hello.batch_udp) flags |= 8;
+  if (config.follow_trace_dst) flags |= 1;
+  if (config.loopback_alias_dst) flags |= 2;
+  if (config.fast_mode) flags |= 4;
   body.WriteU8(flags);
-  body.WriteU16(hello.dst_port_override);
-  body.WriteU16(hello.n_distributors);
-  body.WriteU16(hello.queriers_per_distributor);
-  WriteDuration(body, hello.lookahead);
-  WriteDuration(body, hello.drain_grace);
-  body.WriteU64(hello.seed);
-  WriteDuration(body, hello.query_timeout);
-  body.WriteU16(hello.max_retransmits);
-  WriteDuration(body, hello.tcp_idle_timeout);
-  body.WriteU16(hello.tcp_max_reconnects);
-  // v2 tail — appended after every v1 field so a v1 decoder's CheckDrained
-  // is the only thing that rejects it (and we accept tail-less frames).
-  body.WriteU8(static_cast<uint8_t>(hello.datapath));
-  WriteName(body, hello.afpacket_interface);
-  WriteName(body, hello.afpacket_peer_mac);
-  body.WriteU16(hello.tls_port);
+  body.WriteU16(config.dst_port_override);
+  body.WriteU16(static_cast<uint16_t>(config.n_distributors));
+  body.WriteU16(static_cast<uint16_t>(config.queriers_per_distributor));
+  WriteDuration(body, config.lookahead);
+  body.WriteU64(config.seed);
+  WriteDuration(body, config.query_timeout);
+  body.WriteU16(static_cast<uint16_t>(std::max(config.max_retransmits, 0)));
+  WriteDuration(body, config.tcp_idle_timeout);
+  body.WriteU16(static_cast<uint16_t>(std::max(config.tcp_max_reconnects, 0)));
+  body.WriteU8(static_cast<uint8_t>(config.datapath));
+  WriteName(body, config.afpacket.interface);
+  WriteName(body, config.afpacket.peer_mac);
+  body.WriteU16(config.tls_port);
   return Seal(FrameType::kHello, std::move(body));
 }
 
@@ -155,48 +101,42 @@ Result<HelloFrame> DecodeHello(const Frame& frame) {
     return Error(ErrorCode::kParseError, "HELLO magic mismatch");
   }
   LDP_ASSIGN_OR_RETURN(uint16_t version, reader.ReadU16());
-  if (version == 0 || version > kVersion) {
+  if (version != kVersion) {
     return Error(ErrorCode::kUnsupported,
                  "protocol version " + std::to_string(version) +
-                     " (this build speaks up to " + std::to_string(kVersion) +
-                     ")");
+                     " (this build speaks " + std::to_string(kVersion) + ")");
   }
   HelloFrame hello;
+  replay::RealtimeConfig& config = hello.config;
   LDP_ASSIGN_OR_RETURN(hello.agent_id, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(hello.credit_window, reader.ReadU32());
   LDP_ASSIGN_OR_RETURN(hello.stats_interval, ReadDuration(reader));
   LDP_ASSIGN_OR_RETURN(uint32_t addr, reader.ReadU32());
-  hello.server.addr = IpAddress(addr);
-  LDP_ASSIGN_OR_RETURN(hello.server.port, reader.ReadU16());
+  config.server.addr = IpAddress(addr);
+  LDP_ASSIGN_OR_RETURN(config.server.port, reader.ReadU16());
   LDP_ASSIGN_OR_RETURN(uint8_t flags, reader.ReadU8());
-  hello.follow_trace_dst = (flags & 1) != 0;
-  hello.loopback_alias_dst = (flags & 2) != 0;
-  hello.fast_mode = (flags & 4) != 0;
-  hello.batch_udp = (flags & 8) != 0;
-  LDP_ASSIGN_OR_RETURN(hello.dst_port_override, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.n_distributors, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.queriers_per_distributor, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.lookahead, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.drain_grace, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.seed, reader.ReadU64());
-  LDP_ASSIGN_OR_RETURN(hello.query_timeout, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.max_retransmits, reader.ReadU16());
-  LDP_ASSIGN_OR_RETURN(hello.tcp_idle_timeout, ReadDuration(reader));
-  LDP_ASSIGN_OR_RETURN(hello.tcp_max_reconnects, reader.ReadU16());
-  if (reader.remaining() > 0) {
-    // v2 tail. An older controller sends a frame that ends here; the
-    // defaults above (epoll, "lo", no TLS port) then stand.
-    LDP_ASSIGN_OR_RETURN(uint8_t datapath, reader.ReadU8());
-    if (datapath > static_cast<uint8_t>(net::DatapathKind::kAfPacket)) {
-      return Error(ErrorCode::kParseError, "HELLO with unknown datapath");
-    }
-    hello.datapath = static_cast<net::DatapathKind>(datapath);
-    LDP_ASSIGN_OR_RETURN(hello.afpacket_interface, ReadName(reader));
-    LDP_ASSIGN_OR_RETURN(hello.afpacket_peer_mac, ReadName(reader));
-    LDP_ASSIGN_OR_RETURN(hello.tls_port, reader.ReadU16());
+  config.follow_trace_dst = (flags & 1) != 0;
+  config.loopback_alias_dst = (flags & 2) != 0;
+  config.fast_mode = (flags & 4) != 0;
+  LDP_ASSIGN_OR_RETURN(config.dst_port_override, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(config.n_distributors, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(config.queriers_per_distributor, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(config.lookahead, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(config.seed, reader.ReadU64());
+  LDP_ASSIGN_OR_RETURN(config.query_timeout, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(config.max_retransmits, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(config.tcp_idle_timeout, ReadDuration(reader));
+  LDP_ASSIGN_OR_RETURN(config.tcp_max_reconnects, reader.ReadU16());
+  LDP_ASSIGN_OR_RETURN(uint8_t datapath, reader.ReadU8());
+  if (datapath > static_cast<uint8_t>(net::DatapathKind::kAfPacket)) {
+    return Error(ErrorCode::kParseError, "HELLO with unknown datapath");
   }
+  config.datapath = static_cast<net::DatapathKind>(datapath);
+  LDP_ASSIGN_OR_RETURN(config.afpacket.interface, ReadName(reader));
+  LDP_ASSIGN_OR_RETURN(config.afpacket.peer_mac, ReadName(reader));
+  LDP_ASSIGN_OR_RETURN(config.tls_port, reader.ReadU16());
   LDP_RETURN_IF_ERROR(CheckDrained(reader, "HELLO"));
-  if (hello.n_distributors == 0 || hello.queriers_per_distributor == 0 ||
+  if (config.n_distributors == 0 || config.queriers_per_distributor == 0 ||
       hello.credit_window == 0) {
     return Error(ErrorCode::kInvalidArgument,
                  "HELLO with zero distributors/queriers/credits");

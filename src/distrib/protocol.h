@@ -36,10 +36,9 @@
 namespace ldp::distrib {
 
 inline constexpr uint32_t kMagic = 0x4c445044;  // "LDPD"
-// v2 appends the datapath/TLS tail to HELLO. Decoders accept any version
-// up to their own: the tail is optional on the wire, so a v1 HELLO (no
-// tail) decodes with the defaults and a v1 agent simply rejects v2.
-inline constexpr uint16_t kVersion = 2;
+// HELLO has no optional fields, so a decoder accepts only its own version;
+// the controller likewise refuses an agent whose HELLO_ACK names another.
+inline constexpr uint16_t kVersion = 3;
 // A frame larger than this is a corrupt stream, not a big chunk: even a
 // 4096-record chunk of maximal records stays well under it.
 inline constexpr uint32_t kMaxFramePayload = 8u << 20;
@@ -62,43 +61,16 @@ enum class FrameType : uint8_t {
 
 // --- frame bodies ---
 
-// Controller → agent. Carries the replay configuration the agent builds
-// its RealtimeConfig from (everything except host-local concerns like
-// metrics file paths) plus the flow-control parameters.
+// Controller → agent: the flow-control parameters plus the replay
+// configuration the agent runs. The wire carries the replay parameters;
+// host-local fields (metrics sinks, local_addr, start_delay, reconnect
+// backoff, write watermarks, afpacket ring geometry) decode to their
+// defaults.
 struct HelloFrame {
   uint16_t agent_id = 0;
   uint32_t credit_window = 8;     // max un-acked chunks
   NanoDuration stats_interval = Seconds(1);
-
-  Endpoint server;
-  bool follow_trace_dst = false;
-  uint16_t dst_port_override = 0;
-  bool loopback_alias_dst = false;
-  bool fast_mode = false;
-  bool batch_udp = true;
-  uint16_t n_distributors = 1;
-  uint16_t queriers_per_distributor = 3;
-  NanoDuration lookahead = Millis(500);
-  NanoDuration drain_grace = Millis(500);
-  uint64_t seed = 99;
-  NanoDuration query_timeout = Seconds(2);
-  uint16_t max_retransmits = 0;
-  NanoDuration tcp_idle_timeout = 0;
-  uint16_t tcp_max_reconnects = 3;
-
-  // --- v2 tail (optional on the wire; these defaults apply when a v1
-  // frame omits it) ---
-  // Querier datapath on the agent host: kernel sockets or AF_PACKET rings
-  // (plus the two options that must match the agent's interface).
-  net::DatapathKind datapath = net::DatapathKind::kEpoll;
-  std::string afpacket_interface = "lo";
-  std::string afpacket_peer_mac;
-  // DoT port for kTls records (0 = each record's own target port).
-  uint16_t tls_port = 0;
-
-  // The agent-side RealtimeConfig (metrics pointers left unset).
-  replay::RealtimeConfig ToRealtimeConfig() const;
-  static HelloFrame FromConfig(const replay::RealtimeConfig& config);
+  replay::RealtimeConfig config;
 };
 
 struct HelloAckFrame {

@@ -76,14 +76,6 @@ struct QuerierMetrics {
   stats::LogHistogram* tls_handshake = nullptr;    // client handshake, ns
 };
 
-// Timer-wheel keys: UDP entries are the bare 16-bit ID; TCP entries pack
-// a per-connection index so per-connection ID spaces stay distinct. (An
-// index rather than the source address: with follow_trace_dst a
-// connection is keyed by source AND target, which no longer fits in the
-// key's upper bits.)
-constexpr uint64_t kTcpKeyBit = 1ULL << 63;
-uint64_t UdpKey(uint16_t id) { return id; }
-
 // Stream connection identity. Without follow_trace_dst every target is
 // config.server, so this degenerates to the historical per-source keying.
 // `tls` separates a source's DoT connection from its plain-TCP one (a
@@ -109,145 +101,377 @@ struct ConnKeyHash {
 // timeout is detected within ~1/8 of its length, floored so short test
 // timeouts do not busy-spin the loop.
 NanoDuration WheelTickFor(NanoDuration query_timeout) {
-  if (query_timeout <= 0) return Millis(8);
   return std::clamp<NanoDuration>(query_timeout / 8, Millis(1), Millis(16));
 }
 
-// One logical querier: a UDP socket plus per-source TCP connections. Every
-// accepted query is tracked by the timer wheel until it reaches a terminal
-// outcome (answered / timed out / send-failed); see realtime.h.
-class Querier {
+// Where a query goes: the fixed server, or (hierarchy replay) the
+// record's own destination, optionally aliased into 127/8 and repointed
+// at the proxy's shared service port.
+Endpoint TargetFor(const RealtimeConfig& config,
+                   const trace::QueryRecord& record) {
+  if (!config.follow_trace_dst) return config.server;
+  Endpoint target{record.dst, record.dst_port};
+  if (config.loopback_alias_dst) target.addr = LoopbackAlias(target.addr);
+  if (config.dst_port_override != 0) target.port = config.dst_port_override;
+  return target;
+}
+
+// A querier's ledger. Whichever lane carries a query, it reaches exactly
+// one terminal outcome here. The ledger keeps the outcome counters, the
+// inflight gauge and the latency histogram, and fires on_idle when the
+// last live query goes terminal.
+class Ledger {
  public:
-  Querier(net::EventLoop& loop, const RealtimeConfig& config,
-          TransportCounters& counters, QuerierMetrics metrics = {})
+  Ledger(TransportCounters& counters, QuerierMetrics metrics)
+      : counters_(counters), metrics_(metrics) {}
+
+  TransportCounters& counters() { return counters_; }
+  const QuerierMetrics& metrics() const { return metrics_; }
+  void set_on_idle(std::function<void()> on_idle) {
+    on_idle_ = std::move(on_idle);
+  }
+  bool idle() const { return live_ == 0; }
+
+  // Every accepted query raises the live count and the inflight gauge
+  // here; its terminal transition lowers both, so failure paths that go
+  // terminal at once still balance.
+  void Accept(const QueryJob& job, NanoTime epoch_mono) {
+    epoch_mono_ = epoch_mono;  // reply timestamps share the send epoch
+    job.outcome->trace_index = job.trace_index;
+    job.outcome->trace_time = job.trace_time;
+    ++live_;
+    if (metrics_.inflight != nullptr) metrics_.inflight->Add(1);
+  }
+
+  void MarkSent(SendOutcome* slot) const {
+    slot->sent = MonotonicNow() - epoch_mono_;
+  }
+
+  void Terminal(SendOutcome* slot, SendOutcome::State state) {
+    if (slot->state != SendOutcome::State::kPending) return;
+    slot->state = state;
+    if (state == SendOutcome::State::kTimedOut) {
+      counters_.timed_out.Add();
+    } else if (state == SendOutcome::State::kSendFailed) {
+      counters_.send_failed.Add();
+    }
+    Settle();
+  }
+
+  void RecordAnswer(SendOutcome* slot) {
+    if (slot->state != SendOutcome::State::kPending) return;
+    slot->state = SendOutcome::State::kAnswered;
+    slot->replied = MonotonicNow() - epoch_mono_;
+    counters_.answered.Add();
+    if (metrics_.latency != nullptr && slot->replied > slot->sent) {
+      metrics_.latency->Record(
+          static_cast<uint64_t>(slot->replied - slot->sent));
+    }
+    Settle();
+  }
+
+ private:
+  void Settle() {
+    if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
+    if (--live_ == 0 && on_idle_) on_idle_();
+  }
+
+  TransportCounters& counters_;
+  QuerierMetrics metrics_;
+  std::function<void()> on_idle_;
+  size_t live_ = 0;
+  NanoTime epoch_mono_ = 0;
+};
+
+// The datagram lane: one DatagramPath (a UDP socket or an AF_PACKET ring),
+// one 16-bit ID space, and a timeout wheel keyed by that ID. Queries are
+// staged and leave in one SendBatch per scheduling point; a retransmit
+// re-sends its single datagram.
+class DatagramLane {
+ public:
+  DatagramLane(net::EventLoop& loop, const RealtimeConfig& config,
+               Ledger& ledger)
       : loop_(loop),
         config_(config),
-        counters_(counters),
-        metrics_(metrics),
-        tick_interval_(WheelTickFor(config.query_timeout)),
+        ledger_(ledger),
         wheel_(WheelTickFor(config.query_timeout), 512) {}
 
-  Status Init() {
+  Status Open() {
     net::DatapathOptions options;
     options.kind = config_.datapath;
     options.afpacket = config_.afpacket;
     options.metrics = config_.metrics;
     LDP_ASSIGN_OR_RETURN(
-        udp_, net::DatagramPath::Open(
-                  loop_, Endpoint{config_.local_addr, 0},
-                  [this](std::span<const net::DatagramPath::RecvItem> batch) {
-                    for (const auto& item : batch) OnUdpReply(item.payload);
-                  },
-                  options));
+        path_, net::DatagramPath::Open(
+                   loop_, Endpoint{config_.local_addr, 0},
+                   [this](std::span<const net::DatagramPath::RecvItem> batch) {
+                     for (const auto& item : batch) OnReply(item.payload);
+                   },
+                   options));
     return Status::Ok();
   }
 
-  // Fires whenever the querier may have just gone idle; the distributor
-  // uses it to detect that every outcome is terminal and stop the loop.
-  void set_on_idle(std::function<void()> on_idle) {
-    on_idle_ = std::move(on_idle);
-  }
-
-  // With timeouts enabled every live query (UDP and TCP, including frames
-  // waiting in a connect backlog) has a wheel entry, so an empty wheel
-  // means every outcome this querier owns is terminal.
-  bool idle() const { return wheel_.empty(); }
-
-  void Send(const QueryJob& job, NanoTime epoch_mono) {
-    epoch_mono_ = epoch_mono;  // reply timestamps share the send epoch
-    dns::Message query = job.record.ToMessage();
-
-    SendOutcome& outcome = *job.outcome;
-    outcome.trace_index = job.trace_index;
-    outcome.trace_time = job.trace_time;
-    // Every accepted query raises the inflight gauge here; the matching
-    // decrement happens on its terminal transition (Terminal/RecordAnswer),
-    // so failure paths that go terminal immediately still balance.
-    if (metrics_.inflight != nullptr) metrics_.inflight->Add(1);
-
-    if (job.record.protocol == trace::Protocol::kUdp) {
-      SendUdp(job, query);
-    } else {
-      SendTcp(job, query);
+  void Send(const QueryJob& job, dns::Message& query) {
+    bool collided = false;
+    auto id = AllocateQueryId(next_id_, inflight_, &collided);
+    if (collided || !id) ledger_.counters().id_collisions.Add();
+    if (!id) {
+      // All 65536 IDs inflight: this query cannot be matched to a reply.
+      ledger_.Terminal(job.outcome, SendOutcome::State::kSendFailed);
+      return;
     }
+    query.id = *id;
+    inflight_.emplace(*id, Entry{.outcome = job.outcome,
+                                 .wire = query.Encode(),
+                                 .target = TargetFor(config_, job.record)});
+    ledger_.MarkSent(job.outcome);
+    ScheduleTimeout(*id, /*tries=*/0);
+    staged_.push_back(*id);
+    if (staged_.size() >= net::DatagramPath::kBatchSize) Flush();
   }
 
-  // Pushes all pending UDP queries to the kernel with one sendmmsg. The
+  // Pushes all staged queries to the kernel with one SendBatch. The
   // distributor calls this at every scheduling point (end of a queue
   // drain, each timer dispatch), so batching never delays a scheduled
   // send past its loop iteration.
   void Flush() {
-    if (pending_udp_.empty()) return;
-    pending_items_.clear();
+    if (staged_.empty()) return;
+    items_.clear();
     live_ids_.clear();
-    for (uint16_t id : pending_udp_) {
-      auto it = udp_inflight_.find(id);
-      if (it == udp_inflight_.end()) continue;  // aged out while staged
-      pending_items_.push_back(net::DatagramPath::SendItem{
-          it->second.wire, it->second.target});
+    for (uint16_t id : staged_) {
+      auto it = inflight_.find(id);
+      if (it == inflight_.end()) continue;  // aged out while staged
+      items_.push_back(
+          net::DatagramPath::SendItem{it->second.wire, it->second.target});
       live_ids_.push_back(id);
     }
-    size_t accepted =
-        pending_items_.empty() ? 0 : udp_->SendBatch(pending_items_);
+    size_t accepted = items_.empty() ? 0 : path_->SendBatch(items_);
     for (size_t i = 0; i < accepted; ++i) {
-      udp_inflight_[live_ids_[i]].on_wire = true;
+      inflight_[live_ids_[i]].on_wire = true;
     }
     if (accepted == live_ids_.size()) {
-      pending_udp_.clear();
+      staged_.clear();
       flush_retries_ = 0;
       return;
     }
-    // Kernel send buffer full: re-queue the unsent tail and retry shortly
+    // Kernel send buffer full: re-stage the unsent tail and retry shortly
     // with backoff instead of silently dropping it.
-    pending_udp_.assign(live_ids_.begin() + static_cast<ptrdiff_t>(accepted),
-                        live_ids_.end());
+    staged_.assign(live_ids_.begin() + static_cast<ptrdiff_t>(accepted),
+                   live_ids_.end());
     if (++flush_retries_ > kMaxFlushRetries) {
-      LDP_DEBUG << "UDP flush: giving up on " << pending_udp_.size()
+      LDP_DEBUG << "UDP flush: giving up on " << staged_.size()
                 << " staged queries after " << kMaxFlushRetries << " retries";
-      for (uint16_t id : pending_udp_) {
-        auto it = udp_inflight_.find(id);
-        if (it == udp_inflight_.end()) continue;
-        wheel_.Cancel(UdpKey(id));
-        Terminal(it->second.outcome, SendOutcome::State::kSendFailed);
-        udp_inflight_.erase(it);
+      for (uint16_t id : staged_) {
+        auto it = inflight_.find(id);
+        if (it == inflight_.end()) continue;
+        wheel_.Cancel(id);
+        ledger_.Terminal(it->second.outcome, SendOutcome::State::kSendFailed);
+        inflight_.erase(it);
       }
-      pending_udp_.clear();
+      staged_.clear();
       flush_retries_ = 0;
-      MaybeIdle();
       return;
     }
     ArmFlushRetry();
   }
 
+  void Expire(NanoTime now) {
+    expired_.clear();
+    wheel_.Advance(now, expired_);
+    for (uint64_t key : expired_) ExpireOne(static_cast<uint16_t>(key));
+  }
+
+  size_t timers() const { return wheel_.size(); }
+
  private:
   static constexpr int kMaxFlushRetries = 10;
 
-  // Where a query goes: the fixed server, or (hierarchy replay) the
-  // record's own destination, optionally aliased into 127/8 and repointed
-  // at the proxy's shared service port.
-  Endpoint TargetFor(const trace::QueryRecord& record) const {
-    if (!config_.follow_trace_dst) return config_.server;
-    Endpoint target{record.dst, record.dst_port};
-    if (config_.loopback_alias_dst) target.addr = LoopbackAlias(target.addr);
-    if (config_.dst_port_override != 0) target.port = config_.dst_port_override;
-    return target;
-  }
-
-  struct UdpEntry {
+  struct Entry {
     SendOutcome* outcome = nullptr;
-    Bytes wire;           // encoded query, kept for retransmits
-    Endpoint target;      // destination (kept so retransmits follow it)
-    int tries = 0;        // retransmits performed
+    Bytes wire;            // encoded query, kept for retransmits
+    Endpoint target;       // destination (kept so retransmits follow it)
+    int tries = 0;         // retransmits performed
     bool on_wire = false;  // accepted by the kernel at least once
   };
 
-  struct TcpState {
+  // Retry k waits query_timeout << k (exponential backoff); the shift is
+  // clamped so a large retransmit budget cannot overflow int64 ns.
+  void ScheduleTimeout(uint16_t id, int tries) {
+    wheel_.Schedule(id, MonotonicNow() +
+                            (config_.query_timeout << std::min(tries, 10)));
+  }
+
+  void ExpireOne(uint16_t id) {
+    auto it = inflight_.find(id);
+    if (it == inflight_.end()) return;
+    Entry& entry = it->second;
+    if (!entry.on_wire) {
+      // Never accepted by the kernel within a full timeout: send-failed,
+      // not timed-out — the server never saw it.
+      ledger_.Terminal(entry.outcome, SendOutcome::State::kSendFailed);
+      inflight_.erase(it);
+      return;
+    }
+    if (entry.tries < config_.max_retransmits) {
+      ++entry.tries;
+      entry.outcome->retransmits =
+          static_cast<uint8_t>(std::min(entry.tries, 255));
+      ledger_.counters().retransmits.Add();
+      auto status = path_->SendTo(entry.wire, entry.target);
+      (void)status;  // a full buffer just leaves it to the next expiry
+      ScheduleTimeout(id, entry.tries);
+      return;
+    }
+    ledger_.Terminal(entry.outcome, SendOutcome::State::kTimedOut);
+    inflight_.erase(it);
+  }
+
+  void ArmFlushRetry() {
+    if (flush_retry_armed_) return;
+    flush_retry_armed_ = true;
+    NanoDuration delay = std::min<NanoDuration>(
+        Millis(1) << std::min(flush_retries_, 4), Millis(16));
+    loop_.ScheduleAfter(delay, [this]() {
+      flush_retry_armed_ = false;
+      Flush();
+    });
+  }
+
+  void OnReply(std::span<const uint8_t> payload) {
+    if (payload.size() < 2) return;
+    uint16_t id = static_cast<uint16_t>((payload[0] << 8) | payload[1]);
+    auto it = inflight_.find(id);
+    if (it == inflight_.end()) return;  // late reply after age-out
+    ledger_.RecordAnswer(it->second.outcome);
+    wheel_.Cancel(id);
+    inflight_.erase(it);
+  }
+
+  net::EventLoop& loop_;
+  const RealtimeConfig& config_;
+  Ledger& ledger_;
+  std::unique_ptr<net::DatagramPath> path_;
+  std::unordered_map<uint16_t, Entry> inflight_;
+  uint16_t next_id_ = 1;
+  // Staged IDs awaiting the batch flush; wire bytes live in inflight_
+  // (unordered_map references are rehash-stable).
+  std::vector<uint16_t> staged_;
+  std::vector<net::DatagramPath::SendItem> items_;
+  std::vector<uint16_t> live_ids_;
+  int flush_retries_ = 0;
+  bool flush_retry_armed_ = false;
+  TimerWheel wheel_;
+  std::vector<uint64_t> expired_;
+};
+
+// The stream lane: one connection per ConnKey over net::StreamConn. Plain
+// TCP and DoT differ only at dial time (Connect) and in the handshake
+// counters. Each connection has its own 16-bit ID space and a backlog of
+// frames it cannot write yet (connecting, paused by the write watermark,
+// or awaiting a reconnect). A stream that dies owing queries re-queues
+// them and redials within the reconnect budget. The lane's wheel keys
+// pack the connection's index above the query ID.
+//
+// Connection callbacks capture the ConnKey, never Conn* or StreamConn*:
+// state is re-looked-up through conns_, so a state disposed between
+// scheduling and firing is simply not found. Dead streams and states are
+// moved to a graveyard and destroyed on the next loop iteration:
+// destroying them in place would free the stream whose callback is
+// currently executing.
+class StreamLane {
+ public:
+  StreamLane(net::EventLoop& loop, const RealtimeConfig& config,
+             Ledger& ledger)
+      : loop_(loop),
+        config_(config),
+        ledger_(ledger),
+        wheel_(WheelTickFor(config.query_timeout), 512) {}
+
+  void Send(const QueryJob& job, dns::Message& query) {
+    bool tls = job.record.protocol == trace::Protocol::kTls;
+    if (tls && !net::TlsAvailable()) {
+      if (!warned_no_tls_) {
+        warned_no_tls_ = true;
+        LDP_WARN << "trace carries TLS queries but this build has no "
+                    "OpenSSL; counting them as send_failed";
+      }
+      ledger_.counters().tls_aborts.Add();
+      ledger_.Terminal(job.outcome, SendOutcome::State::kSendFailed);
+      return;
+    }
+    Endpoint target = TargetFor(config_, job.record);
+    if (tls && config_.tls_port != 0) target.port = config_.tls_port;
+    ConnKey key{job.record.src, target, tls};
+    auto it = conns_.find(key);
+    if (it == conns_.end()) {
+      auto conn = std::make_unique<Conn>();
+      conn->key = key;
+      conn->index = next_index_++;
+      by_index_.emplace(conn->index, conn.get());
+      it = conns_.emplace(key, std::move(conn)).first;
+      Dial(*it->second);
+      // A synchronous dial failure may already have disposed the state.
+      it = conns_.find(key);
+      if (it == conns_.end()) {
+        ledger_.Terminal(job.outcome, SendOutcome::State::kSendFailed);
+        return;
+      }
+    }
+    Conn& conn = *it->second;
+
+    bool collided = false;
+    auto id = AllocateQueryId(conn.next_id, conn.inflight, &collided);
+    if (collided) ledger_.counters().id_collisions.Add();
+    if (!id) {
+      ledger_.Terminal(job.outcome, SendOutcome::State::kSendFailed);
+      return;
+    }
+    query.id = *id;
+    auto frame = dns::FrameMessage(query.Encode());
+    if (!frame.ok()) {
+      ledger_.Terminal(job.outcome, SendOutcome::State::kSendFailed);
+      return;
+    }
+    conn.inflight.emplace(
+        *id, Conn::Entry{.outcome = job.outcome, .frame = std::move(*frame)});
+    ledger_.MarkSent(job.outcome);
+    wheel_.Schedule(TimerKey(conn, *id),
+                    MonotonicNow() + config_.query_timeout);
+    if (conn.connected && !conn.paused && conn.backlog.empty() &&
+        WriteFrame(conn, *id)) {
+      return;
+    }
+    conn.backlog.push_back(*id);
+  }
+
+  void Expire(NanoTime now) {
+    expired_.clear();
+    wheel_.Advance(now, expired_);
+    for (uint64_t key : expired_) {
+      auto indexed = by_index_.find(static_cast<uint32_t>(key >> 16));
+      if (indexed == by_index_.end()) continue;
+      Conn& conn = *indexed->second;
+      auto entry = conn.inflight.find(static_cast<uint16_t>(key));
+      if (entry == conn.inflight.end()) continue;
+      // on_wire distinguishes "written to a stream, no answer" (timed
+      // out) from "still waiting in a backlog, never delivered"
+      // (send-failed).
+      ledger_.Terminal(entry->second.outcome,
+                       entry->second.on_wire
+                           ? SendOutcome::State::kTimedOut
+                           : SendOutcome::State::kSendFailed);
+      conn.inflight.erase(entry);
+      // The backlog may still hold the ID; WriteFrame skips missing ones.
+    }
+  }
+
+  size_t timers() const { return wheel_.size(); }
+
+ private:
+  struct Conn {
     ConnKey key;
-    uint32_t index = 0;  // packs into timer-wheel keys; see conn_index_
-    std::unique_ptr<net::StreamConn> conn;
-    // Non-owning view of `conn` when key.tls, for the post-handshake
-    // accessors (session_reused, handshake_duration); null otherwise.
-    net::TlsConnection* tls_conn = nullptr;
+    uint32_t index = 0;  // upper bits of this connection's wheel keys
+    std::unique_ptr<net::StreamConn> stream;
     dns::StreamAssembler assembler;
     bool connected = false;
     bool paused = false;   // write-watermark backpressure
@@ -267,543 +491,318 @@ class Querier {
     std::deque<uint16_t> backlog;
   };
 
-  // --- terminal outcomes ---
-
-  void Terminal(SendOutcome* slot, SendOutcome::State state) {
-    SendOutcome& outcome = *slot;
-    if (outcome.state != SendOutcome::State::kPending) return;
-    outcome.state = state;
-    if (state == SendOutcome::State::kTimedOut) {
-      counters_.timed_out.Add();
-    } else if (state == SendOutcome::State::kSendFailed) {
-      counters_.send_failed.Add();
-    }
-    if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
+  static uint64_t TimerKey(const Conn& conn, uint16_t id) {
+    return (uint64_t{conn.index} << 16) | id;
   }
 
-  void RecordAnswer(SendOutcome* slot) {
-    SendOutcome& outcome = *slot;
-    if (outcome.state != SendOutcome::State::kPending) return;
-    outcome.state = SendOutcome::State::kAnswered;
-    outcome.replied = MonotonicNow() - epoch_mono_;
-    counters_.answered.Add();
-    if (metrics_.inflight != nullptr) metrics_.inflight->Add(-1);
-    if (metrics_.latency != nullptr && outcome.replied > outcome.sent) {
-      metrics_.latency->Record(
-          static_cast<uint64_t>(outcome.replied - outcome.sent));
-    }
-  }
-
-  void MaybeIdle() {
-    if (on_idle_ && idle()) on_idle_();
-  }
-
-  // --- timeout wheel ---
-
-  void ScheduleTimeout(uint64_t key, int tries) {
-    if (config_.query_timeout <= 0) return;
-    // Retry k waits query_timeout << k (exponential backoff); the shift is
-    // clamped so a large retransmit budget cannot overflow int64 ns.
-    NanoDuration wait = config_.query_timeout << std::min(tries, 10);
-    wheel_.Schedule(key, MonotonicNow() + wait);
-    ArmTick();
-  }
-
-  void ArmTick() {
-    if (tick_armed_) return;
-    tick_armed_ = true;
-    loop_.ScheduleAfter(tick_interval_, [this]() { OnTick(); });
-  }
-
-  void OnTick() {
-    tick_armed_ = false;
-    if (metrics_.wheel_occupancy != nullptr) {
-      metrics_.wheel_occupancy->Record(wheel_.size());
-    }
-    expired_.clear();
-    wheel_.Advance(MonotonicNow(), expired_);
-    for (uint64_t key : expired_) {
-      if (key & kTcpKeyBit) {
-        ExpireTcp(key);
-      } else {
-        ExpireUdp(static_cast<uint16_t>(key));
-      }
-    }
-    if (!wheel_.empty()) ArmTick();
-    MaybeIdle();
-  }
-
-  void ExpireUdp(uint16_t id) {
-    auto it = udp_inflight_.find(id);
-    if (it == udp_inflight_.end()) return;
-    UdpEntry& entry = it->second;
-    if (!entry.on_wire) {
-      // Never accepted by the kernel within a full timeout: send-failed,
-      // not timed-out — the server never saw it.
-      Terminal(entry.outcome, SendOutcome::State::kSendFailed);
-      udp_inflight_.erase(it);
+  void Dial(Conn& conn) {
+    ConnKey key = conn.key;
+    BuryStream(conn);  // re-dial: the previous stream (if any) is dead
+    conn.connected = false;
+    conn.paused = false;
+    conn.assembler = dns::StreamAssembler();  // new stream, new framing
+    auto stream = Connect(
+        key,
+        [this, key](Status status) { OnConnected(key, std::move(status)); },
+        [this, key](std::span<const uint8_t> data) {
+          auto it = conns_.find(key);
+          if (it != conns_.end()) OnData(*it->second, data);
+        },
+        [this, key](Status reason) { OnClosed(key, std::move(reason)); });
+    if (!stream.ok()) {
+      RetryOrFail(conn);
       return;
     }
-    if (entry.tries < config_.max_retransmits) {
-      ++entry.tries;
-      entry.outcome->retransmits =
-          static_cast<uint8_t>(std::min(entry.tries, 255));
-      counters_.retransmits.Add();
-      auto status = udp_->SendTo(entry.wire, entry.target);
-      (void)status;  // a full buffer just leaves it to the next expiry
-      ScheduleTimeout(UdpKey(id), entry.tries);
-      return;
-    }
-    Terminal(entry.outcome, SendOutcome::State::kTimedOut);
-    udp_inflight_.erase(it);
-  }
-
-  void ExpireTcp(uint64_t wheel_key) {
-    uint32_t index = static_cast<uint32_t>((wheel_key >> 16) & 0xffffffff);
-    uint16_t id = static_cast<uint16_t>(wheel_key & 0xffff);
-    auto indexed = conn_index_.find(index);
-    if (indexed == conn_index_.end()) return;
-    auto it = tcp_.find(indexed->second);
-    if (it == tcp_.end()) return;
-    TcpState& state = *it->second;
-    auto entry = state.inflight.find(id);
-    if (entry == state.inflight.end()) return;
-    // on_wire distinguishes "written to a stream, no answer" (timed out)
-    // from "still waiting in a backlog, never delivered" (send-failed).
-    Terminal(entry->second.outcome,
-             entry->second.on_wire ? SendOutcome::State::kTimedOut
-                                   : SendOutcome::State::kSendFailed);
-    state.inflight.erase(entry);
-    // The backlog may still hold the ID; WriteFrame skips missing entries.
-  }
-
-  // --- UDP ---
-
-  void SendUdp(const QueryJob& job, dns::Message& query) {
-    uint16_t id = 0;
-    bool collided = false;
-    if (config_.query_timeout > 0) {
-      auto allocated = AllocateQueryId(next_udp_id_, udp_inflight_, &collided);
-      if (!allocated) {
-        // All 65536 IDs inflight: this query cannot be matched to a reply.
-        counters_.id_collisions.Add();
-        Terminal(job.outcome, SendOutcome::State::kSendFailed);
-        MaybeIdle();
-        return;
-      }
-      id = *allocated;
-    } else {
-      // Legacy mode (no timeouts): nothing ever ages out, so probing would
-      // deadlock once the trace exceeds 64k unanswered queries. Keep the
-      // historical wrap but evict the stale entry and count the collision
-      // instead of silently clobbering it.
-      id = next_udp_id_++;
-      auto old = udp_inflight_.find(id);
-      if (old != udp_inflight_.end()) {
-        collided = true;
-        udp_inflight_.erase(old);
-      }
-    }
-    if (collided) counters_.id_collisions.Add();
-
-    query.id = id;
-    UdpEntry entry;
-    entry.outcome = job.outcome;
-    entry.wire = query.Encode();
-    entry.target = TargetFor(job.record);
-    auto emplaced = udp_inflight_.emplace(id, std::move(entry));
-    job.outcome->sent = MonotonicNow() - epoch_mono_;
-    ScheduleTimeout(UdpKey(id), /*tries=*/0);
-
-    if (config_.batch_udp) {
-      pending_udp_.push_back(id);
-      if (pending_udp_.size() >= net::DatagramPath::kBatchSize) Flush();
-      return;
-    }
-    auto status = udp_->SendTo(emplaced.first->second.wire,
-                               emplaced.first->second.target);
-    if (status.ok()) {
-      emplaced.first->second.on_wire = true;
-      return;
-    }
-    LDP_DEBUG << "UDP send failed: " << status.error().ToString();
-    // Send buffer full (or transient error): stage for the batch-flush
-    // retry path instead of dropping.
-    pending_udp_.push_back(id);
-    ArmFlushRetry();
-  }
-
-  void ArmFlushRetry() {
-    if (flush_retry_armed_) return;
-    flush_retry_armed_ = true;
-    NanoDuration delay = std::min<NanoDuration>(
-        Millis(1) << std::min(flush_retries_, 4), Millis(16));
-    loop_.ScheduleAfter(delay, [this]() {
-      flush_retry_armed_ = false;
-      Flush();
-      MaybeIdle();
-    });
-  }
-
-  void OnUdpReply(std::span<const uint8_t> payload) {
-    if (payload.size() < 2) return;
-    uint16_t id = static_cast<uint16_t>((payload[0] << 8) | payload[1]);
-    auto it = udp_inflight_.find(id);
-    if (it == udp_inflight_.end()) return;  // late reply after age-out
-    RecordAnswer(it->second.outcome);
-    wheel_.Cancel(UdpKey(id));
-    udp_inflight_.erase(it);
-    MaybeIdle();
-  }
-
-  // --- TCP lifecycle ---
-  //
-  // Connection callbacks capture the source address, never TcpState* or
-  // TcpConnection* — state is re-looked-up through tcp_, so a state
-  // disposed between scheduling and firing is simply not found. Dead
-  // connections and states are moved to a graveyard and destroyed on the
-  // next loop iteration: destroying them in place would free the
-  // TcpConnection whose callback is currently executing.
-
-  void SendTcp(const QueryJob& job, dns::Message& query) {
-    bool tls = job.record.protocol == trace::Protocol::kTls;
-    if (tls && !net::TlsAvailable()) {
-      if (!warned_no_tls_) {
-        warned_no_tls_ = true;
-        LDP_WARN << "trace carries TLS queries but this build has no "
-                    "OpenSSL; counting them as send_failed";
-      }
-      counters_.tls_aborts.Add();
-      Terminal(job.outcome, SendOutcome::State::kSendFailed);
-      MaybeIdle();
-      return;
-    }
-    Endpoint target = TargetFor(job.record);
-    if (tls && config_.tls_port != 0) target.port = config_.tls_port;
-    ConnKey key{job.record.src, target, tls};
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) {
-      auto state = std::make_unique<TcpState>();
-      state->key = key;
-      state->index = next_conn_index_++;
-      conn_index_.emplace(state->index, key);
-      it = tcp_.emplace(key, std::move(state)).first;
-      StartConnect(*it->second);
-      // A synchronous connect failure may already have disposed the state.
-      it = tcp_.find(key);
-      if (it == tcp_.end()) {
-        Terminal(job.outcome, SendOutcome::State::kSendFailed);
-        MaybeIdle();
-        return;
-      }
-    }
-    TcpState& state = *it->second;
-
-    bool collided = false;
-    auto allocated = AllocateQueryId(state.next_id, state.inflight, &collided);
-    if (collided) counters_.id_collisions.Add();
-    if (!allocated) {
-      Terminal(job.outcome, SendOutcome::State::kSendFailed);
-      MaybeIdle();
-      return;
-    }
-    query.id = *allocated;
-
-    auto framed = dns::FrameMessage(query.Encode());
-    if (!framed.ok()) {
-      Terminal(job.outcome, SendOutcome::State::kSendFailed);
-      MaybeIdle();
-      return;
-    }
-
-    TcpState::Entry entry;
-    entry.outcome = job.outcome;
-    entry.frame = std::move(*framed);
-    state.inflight.emplace(*allocated, std::move(entry));
-    job.outcome->sent = MonotonicNow() - epoch_mono_;
-    ScheduleTimeout(TcpKeyFor(state, *allocated), /*tries=*/0);
-
-    if (state.connected && !state.paused && state.backlog.empty()) {
-      if (!WriteFrame(state, *allocated)) state.backlog.push_back(*allocated);
-    } else {
-      state.backlog.push_back(*allocated);
-    }
-  }
-
-  // Timer-wheel key for one inflight TCP query of this connection.
-  static uint64_t TcpKeyFor(const TcpState& state, uint16_t id) {
-    return kTcpKeyBit | (static_cast<uint64_t>(state.index) << 16) | id;
-  }
-
-  void StartConnect(TcpState& state) {
-    ConnKey key = state.key;
-    BuryConn(state);  // re-dial: the previous connection (if any) is dead
-    state.connected = false;
-    state.paused = false;
-    state.assembler = dns::StreamAssembler();  // new stream, new framing
-    auto on_ready = [this, key](Status status) {
-      OnTcpConnected(key, std::move(status));
-    };
-    auto on_data = [this, key](std::span<const uint8_t> data) {
-      auto it = tcp_.find(key);
-      if (it != tcp_.end()) OnTcpData(*it->second, data);
-    };
-    auto on_close = [this, key](Status reason) {
-      OnTcpClosed(key, std::move(reason));
-    };
-    if (key.tls) {
-      // One client context per querier: the session cache inside it makes
-      // every re-dial to an endpoint a resumption candidate, and sticky
-      // same-source assignment keeps a source's reconnects on this cache.
-      if (tls_ctx_ == nullptr) {
-        auto ctx = net::TlsContext::NewClient();
-        if (!ctx.ok()) {
-          RetryOrFail(state);
-          return;
-        }
-        tls_ctx_ = std::move(*ctx);
-      }
-      auto conn = net::TlsConnection::Connect(loop_, *tls_ctx_, key.target,
-                                              std::move(on_ready),
-                                              std::move(on_data),
-                                              std::move(on_close));
-      if (!conn.ok()) {
-        RetryOrFail(state);
-        return;
-      }
-      state.tls_conn = conn->get();
-      state.conn = std::move(*conn);
-    } else {
-      auto conn = net::TcpConnection::Connect(loop_, key.target,
-                                              std::move(on_ready),
-                                              std::move(on_data),
-                                              std::move(on_close));
-      if (!conn.ok()) {
-        RetryOrFail(state);
-        return;
-      }
-      state.conn = std::move(*conn);
-    }
-    state.conn->SetWriteWatermarks(
+    conn.stream = std::move(*stream);
+    conn.stream->SetWriteWatermarks(
         config_.tcp_write_high_watermark, config_.tcp_write_low_watermark,
-        [this, key](bool paused) { OnTcpWatermark(key, paused); });
+        [this, key](bool paused) { OnWatermark(key, paused); });
   }
 
-  // For TLS connections this fires at handshake completion, not TCP
-  // establishment — `connected` means "ready to carry queries" either way.
-  void OnTcpConnected(ConnKey key, Status status) {
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) return;
-    TcpState& state = *it->second;
+  // TCP and DoT differ only here. A querier keeps one TLS client context:
+  // its session cache makes every re-dial to an endpoint a resumption
+  // candidate, and sticky same-source assignment keeps a source's
+  // reconnects on this cache.
+  Result<std::unique_ptr<net::StreamConn>> Connect(
+      const ConnKey& key, net::StreamConn::ConnectHandler on_ready,
+      net::StreamConn::DataHandler on_data,
+      net::StreamConn::CloseHandler on_close) {
+    if (!key.tls) {
+      LDP_ASSIGN_OR_RETURN(
+          auto tcp, net::TcpConnection::Connect(
+                        loop_, key.target, std::move(on_ready),
+                        std::move(on_data), std::move(on_close)));
+      return std::unique_ptr<net::StreamConn>(std::move(tcp));
+    }
+    if (tls_ctx_ == nullptr) {
+      LDP_ASSIGN_OR_RETURN(tls_ctx_, net::TlsContext::NewClient());
+    }
+    LDP_ASSIGN_OR_RETURN(
+        auto tls, net::TlsConnection::Connect(
+                      loop_, *tls_ctx_, key.target, std::move(on_ready),
+                      std::move(on_data), std::move(on_close)));
+    return std::unique_ptr<net::StreamConn>(std::move(tls));
+  }
+
+  // For DoT this fires at handshake completion, not TCP establishment —
+  // `connected` means "ready to carry queries" either way.
+  void OnConnected(ConnKey key, Status status) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) return;
+    Conn& conn = *it->second;
     if (!status.ok()) {
-      if (key.tls) counters_.tls_aborts.Add();
-      BuryConn(state);
-      RetryOrFail(state);
+      if (key.tls) ledger_.counters().tls_aborts.Add();
+      BuryStream(conn);
+      RetryOrFail(conn);
       return;
     }
-    if (key.tls && state.tls_conn != nullptr) {
-      counters_.tls_handshakes.Add();
-      if (state.tls_conn->session_reused()) counters_.tls_resumptions.Add();
-      if (metrics_.tls_handshake != nullptr) {
-        metrics_.tls_handshake->Record(
-            static_cast<uint64_t>(state.tls_conn->handshake_duration()));
+    if (key.tls && conn.stream != nullptr) {
+      const auto& tls = static_cast<const net::TlsConnection&>(*conn.stream);
+      ledger_.counters().tls_handshakes.Add();
+      if (tls.session_reused()) ledger_.counters().tls_resumptions.Add();
+      if (ledger_.metrics().tls_handshake != nullptr) {
+        ledger_.metrics().tls_handshake->Record(
+            static_cast<uint64_t>(tls.handshake_duration()));
       }
     }
-    state.connected = true;
-    state.last_activity = MonotonicNow();
-    ArmIdleTimer(state);
-    DrainBacklog(state);
+    conn.connected = true;
+    conn.last_activity = MonotonicNow();
+    ArmIdleTimer(conn);
+    DrainBacklog(conn);
   }
 
-  void OnTcpClosed(ConnKey key, Status reason) {
+  void OnClosed(ConnKey key, Status reason) {
     (void)reason;  // Ok = peer EOF, error = reset; both re-queue the same way
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) return;
-    TcpState& state = *it->second;
-    state.connected = false;
-    BuryConn(state);
-    state.idle_timer.Cancel();
-    if (state.inflight.empty()) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) return;
+    Conn& conn = *it->second;
+    conn.connected = false;
+    BuryStream(conn);
+    conn.idle_timer.Cancel();
+    if (conn.inflight.empty()) {
       // Nothing owed (e.g. the server idle-closed us): dispose; the next
       // query for this source dials fresh.
-      DisposeState(key);
+      Dispose(key);
       return;
     }
-    RetryOrFail(state);
+    RetryOrFail(conn);
   }
 
-  void OnTcpWatermark(ConnKey key, bool paused) {
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) return;
-    TcpState& state = *it->second;
-    state.paused = paused;
-    if (!paused) DrainBacklog(state);
+  void OnWatermark(ConnKey key, bool paused) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) return;
+    it->second->paused = paused;
+    if (!paused) DrainBacklog(*it->second);
   }
 
   // Re-queues every inflight frame and schedules a reconnect, or fails the
-  // whole state when the budget is spent.
-  void RetryOrFail(TcpState& state) {
-    state.connected = false;
-    if (state.attempts >= config_.tcp_max_reconnects) {
-      FailState(state.key);
+  // whole connection when the budget is spent.
+  void RetryOrFail(Conn& conn) {
+    conn.connected = false;
+    if (conn.attempts >= config_.tcp_max_reconnects) {
+      Fail(conn.key);
       return;
     }
     // Everything written may have died with the stream: rebuild the
     // backlog (in trace order) so the next connection redelivers it.
     std::vector<uint16_t> ids;
-    ids.reserve(state.inflight.size());
-    for (auto& [id, entry] : state.inflight) {
+    ids.reserve(conn.inflight.size());
+    for (auto& [id, entry] : conn.inflight) {
       entry.on_wire = false;
       ids.push_back(id);
     }
-    std::sort(ids.begin(), ids.end(), [&state](uint16_t a, uint16_t b) {
-      return state.inflight[a].outcome->trace_index <
-             state.inflight[b].outcome->trace_index;
+    std::sort(ids.begin(), ids.end(), [&conn](uint16_t a, uint16_t b) {
+      return conn.inflight[a].outcome->trace_index <
+             conn.inflight[b].outcome->trace_index;
     });
-    state.backlog.assign(ids.begin(), ids.end());
+    conn.backlog.assign(ids.begin(), ids.end());
 
     NanoDuration delay = config_.tcp_reconnect_backoff
-                         << std::min(state.attempts, 10);
-    ++state.attempts;
-    counters_.tcp_reconnects.Add();
-    ConnKey key = state.key;
-    state.reconnect_timer = loop_.ScheduleAfter(delay, [this, key]() {
-      auto it = tcp_.find(key);
-      if (it != tcp_.end()) StartConnect(*it->second);
+                         << std::min(conn.attempts, 10);
+    ++conn.attempts;
+    ledger_.counters().tcp_reconnects.Add();
+    ConnKey key = conn.key;
+    conn.reconnect_timer = loop_.ScheduleAfter(delay, [this, key]() {
+      auto it = conns_.find(key);
+      if (it != conns_.end()) Dial(*it->second);
     });
   }
 
-  void FailState(ConnKey key) {
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) return;
-    TcpState& state = *it->second;
-    for (auto& [id, entry] : state.inflight) {
-      wheel_.Cancel(TcpKeyFor(state, id));
-      Terminal(entry.outcome, SendOutcome::State::kSendFailed);
+  void Fail(ConnKey key) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) return;
+    Conn& conn = *it->second;
+    for (auto& [id, entry] : conn.inflight) {
+      wheel_.Cancel(TimerKey(conn, id));
+      ledger_.Terminal(entry.outcome, SendOutcome::State::kSendFailed);
     }
-    state.inflight.clear();
-    DisposeState(key);
-    MaybeIdle();
+    conn.inflight.clear();
+    Dispose(key);
   }
 
-  void DisposeState(ConnKey key) {
-    auto it = tcp_.find(key);
-    if (it == tcp_.end()) return;
+  void Dispose(ConnKey key) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) return;
     it->second->idle_timer.Cancel();
     it->second->reconnect_timer.Cancel();
-    conn_index_.erase(it->second->index);
-    BuryConn(*it->second);
-    graveyard_states_.push_back(std::move(it->second));
-    tcp_.erase(it);
+    by_index_.erase(it->second->index);
+    BuryStream(*it->second);
+    graveyard_conns_.push_back(std::move(it->second));
+    conns_.erase(it);
     ArmSweep();
   }
 
-  void BuryConn(TcpState& state) {
-    if (state.conn == nullptr) return;
-    state.tls_conn = nullptr;
-    graveyard_conns_.push_back(std::move(state.conn));
+  void BuryStream(Conn& conn) {
+    if (conn.stream == nullptr) return;
+    graveyard_streams_.push_back(std::move(conn.stream));
     ArmSweep();
   }
 
   void ArmSweep() {
     if (sweep_armed_) return;
     sweep_armed_ = true;
-    // Destroy on the next loop pass: the buried connection may be the one
+    // Destroy on the next loop pass: the buried stream may be the one
     // whose callback is executing right now.
     loop_.ScheduleAfter(0, [this]() {
       sweep_armed_ = false;
+      graveyard_streams_.clear();
       graveyard_conns_.clear();
-      graveyard_states_.clear();
     });
   }
 
-  bool WriteFrame(TcpState& state, uint16_t id) {
-    auto it = state.inflight.find(id);
-    if (it == state.inflight.end()) return true;  // aged out meanwhile
-    auto status = state.conn->Send(it->second.frame);
+  bool WriteFrame(Conn& conn, uint16_t id) {
+    auto it = conn.inflight.find(id);
+    if (it == conn.inflight.end()) return true;  // aged out meanwhile
+    auto status = conn.stream->Send(it->second.frame);
     if (!status.ok()) return false;  // stream dying; close event re-queues
     it->second.on_wire = true;
-    state.last_activity = MonotonicNow();
+    conn.last_activity = MonotonicNow();
     return true;
   }
 
-  void DrainBacklog(TcpState& state) {
-    while (!state.backlog.empty() && state.connected && !state.paused) {
-      uint16_t id = state.backlog.front();
-      if (!WriteFrame(state, id)) break;
-      state.backlog.pop_front();
+  void DrainBacklog(Conn& conn) {
+    while (!conn.backlog.empty() && conn.connected && !conn.paused) {
+      if (!WriteFrame(conn, conn.backlog.front())) break;
+      conn.backlog.pop_front();
     }
   }
 
-  void ArmIdleTimer(TcpState& state) {
+  // Client-side idle closure: with nothing inflight and no activity for
+  // tcp_idle_timeout, close; the next query for this key dials fresh.
+  void ArmIdleTimer(Conn& conn) {
     if (config_.tcp_idle_timeout <= 0) return;
-    ConnKey key = state.key;
-    state.idle_timer =
+    ConnKey key = conn.key;
+    conn.idle_timer =
         loop_.ScheduleAfter(config_.tcp_idle_timeout, [this, key]() {
-          auto it = tcp_.find(key);
-          if (it == tcp_.end() || !it->second->connected) return;
-          TcpState& state = *it->second;
-          NanoTime deadline = state.last_activity + config_.tcp_idle_timeout;
-          if (MonotonicNow() >= deadline && state.inflight.empty()) {
-            counters_.tcp_idle_closes.Add();
-            DisposeState(key);  // active close: destruction sends FIN
+          auto it = conns_.find(key);
+          if (it == conns_.end() || !it->second->connected) return;
+          Conn& conn = *it->second;
+          NanoTime deadline = conn.last_activity + config_.tcp_idle_timeout;
+          if (MonotonicNow() >= deadline && conn.inflight.empty()) {
+            ledger_.counters().tcp_idle_closes.Add();
+            Dispose(key);  // active close: destruction sends FIN
             return;
           }
-          ArmIdleTimer(state);  // activity since arming: re-check later
+          ArmIdleTimer(conn);  // activity since arming: re-check later
         });
   }
 
-  void OnTcpData(TcpState& state, std::span<const uint8_t> data) {
-    state.last_activity = MonotonicNow();
-    if (!state.assembler.Feed(data).ok()) return;
-    while (auto wire = state.assembler.NextMessage()) {
+  void OnData(Conn& conn, std::span<const uint8_t> data) {
+    conn.last_activity = MonotonicNow();
+    if (!conn.assembler.Feed(data).ok()) return;
+    while (auto wire = conn.assembler.NextMessage()) {
       if (wire->size() < 2) continue;
       uint16_t id = static_cast<uint16_t>(((*wire)[0] << 8) | (*wire)[1]);
-      auto it = state.inflight.find(id);
-      if (it == state.inflight.end()) continue;
-      RecordAnswer(it->second.outcome);
-      wheel_.Cancel(TcpKeyFor(state, id));
-      state.inflight.erase(it);
-      state.attempts = 0;  // a live reply refills the reconnect budget
+      auto it = conn.inflight.find(id);
+      if (it == conn.inflight.end()) continue;
+      ledger_.RecordAnswer(it->second.outcome);
+      wheel_.Cancel(TimerKey(conn, id));
+      conn.inflight.erase(it);
+      conn.attempts = 0;  // a live reply refills the reconnect budget
     }
-    MaybeIdle();
   }
 
   net::EventLoop& loop_;
-  const RealtimeConfig config_;
-  TransportCounters& counters_;
-  QuerierMetrics metrics_;
-  std::function<void()> on_idle_;
-
-  std::unique_ptr<net::DatagramPath> udp_;
-  std::unordered_map<uint16_t, UdpEntry> udp_inflight_;
-  // Staged IDs awaiting the batch flush; wire bytes live in udp_inflight_
-  // (unordered_map references are rehash-stable).
-  std::vector<uint16_t> pending_udp_;
-  std::vector<net::DatagramPath::SendItem> pending_items_;
-  std::vector<uint16_t> live_ids_;
-  int flush_retries_ = 0;
-  bool flush_retry_armed_ = false;
-  uint16_t next_udp_id_ = 1;
-
-  std::unordered_map<ConnKey, std::unique_ptr<TcpState>, ConnKeyHash> tcp_;
-  // index -> key, for decoding timer-wheel expiries back to a connection.
-  std::unordered_map<uint32_t, ConnKey> conn_index_;
-  uint32_t next_conn_index_ = 1;
-  std::vector<std::unique_ptr<net::StreamConn>> graveyard_conns_;
-  std::vector<std::unique_ptr<TcpState>> graveyard_states_;
+  const RealtimeConfig& config_;
+  Ledger& ledger_;
+  std::unordered_map<ConnKey, std::unique_ptr<Conn>, ConnKeyHash> conns_;
+  // index -> connection, for decoding wheel expiries.
+  std::unordered_map<uint32_t, Conn*> by_index_;
+  uint32_t next_index_ = 1;
+  std::vector<std::unique_ptr<net::StreamConn>> graveyard_streams_;
+  std::vector<std::unique_ptr<Conn>> graveyard_conns_;
   bool sweep_armed_ = false;
-  // Lazily created on the first kTls query this querier dials; holds the
-  // client session cache that makes reconnects resumption candidates.
+  // Created on the first DoT dial; holds the client session cache.
   std::unique_ptr<net::TlsContext> tls_ctx_;
   bool warned_no_tls_ = false;
-
-  NanoDuration tick_interval_;
   TimerWheel wheel_;
   std::vector<uint64_t> expired_;
-  bool tick_armed_ = false;
+};
 
-  NanoTime epoch_mono_ = 0;
+// One logical querier (paper §2.6). The core hands each query to the lane
+// its protocol names, advances both lanes' timeout wheels from one tick,
+// and owns the ledger whose idle rule lets the distributor finish. Every
+// live query holds one entry in its lane's wheel until it goes terminal,
+// so the tick runs exactly while the ledger is not idle.
+class Querier {
+ public:
+  // The lanes keep a reference to `config`: it must outlive the querier
+  // (the distributor passes its own copy).
+  Querier(net::EventLoop& loop, const RealtimeConfig& config,
+          TransportCounters& counters, QuerierMetrics metrics)
+      : loop_(loop),
+        tick_interval_(WheelTickFor(config.query_timeout)),
+        ledger_(counters, metrics),
+        datagram_(loop, config, ledger_),
+        stream_(loop, config, ledger_) {}
+
+  Status Init() { return datagram_.Open(); }
+
+  // Fires whenever the querier has just gone idle; the distributor uses it
+  // to detect that every outcome is terminal and stop the loop.
+  void set_on_idle(std::function<void()> on_idle) {
+    ledger_.set_on_idle(std::move(on_idle));
+  }
+  bool idle() const { return ledger_.idle(); }
+
+  void Send(const QueryJob& job, NanoTime epoch_mono) {
+    ledger_.Accept(job, epoch_mono);
+    dns::Message query = job.record.ToMessage();
+    if (job.record.protocol == trace::Protocol::kUdp) {
+      datagram_.Send(job, query);
+    } else {
+      stream_.Send(job, query);
+    }
+    ArmTick();
+  }
+
+  void Flush() { datagram_.Flush(); }
+
+ private:
+  void ArmTick() {
+    if (tick_armed_ || ledger_.idle()) return;
+    tick_armed_ = true;
+    loop_.ScheduleAfter(tick_interval_, [this]() { OnTick(); });
+  }
+
+  void OnTick() {
+    tick_armed_ = false;
+    if (ledger_.metrics().wheel_occupancy != nullptr) {
+      ledger_.metrics().wheel_occupancy->Record(datagram_.timers() +
+                                                stream_.timers());
+    }
+    NanoTime now = MonotonicNow();
+    datagram_.Expire(now);
+    stream_.Expire(now);
+    ArmTick();
+  }
+
+  net::EventLoop& loop_;
+  NanoDuration tick_interval_;
+  Ledger ledger_;
+  DatagramLane datagram_;
+  StreamLane stream_;
+  bool tick_armed_ = false;
 };
 
 // A distributor thread: event loop + sticky querier assignment + the
@@ -955,22 +954,15 @@ class Distributor {
     MaybeFinish();
   }
 
+  // Timeouts make every outcome terminal: stop the instant all queriers
+  // are idle — there is nothing left to wait for.
   void MaybeFinish() {
     if (!input_closed_ || outstanding_ != 0 || stopping_) return;
-    if (config_.query_timeout > 0) {
-      // Timeouts make every outcome terminal: stop the instant all
-      // queriers are idle — there is nothing left to wait for.
-      for (auto& querier : queriers_) {
-        if (!querier->idle()) return;
-      }
-      stopping_ = true;
-      loop_->Stop();
-      return;
+    for (auto& querier : queriers_) {
+      if (!querier->idle()) return;
     }
-    // Legacy mode: unanswered queries never resolve, so wait a fixed
-    // grace period for trailing replies.
     stopping_ = true;
-    loop_->ScheduleAfter(config_.drain_grace, [this]() { loop_->Stop(); });
+    loop_->Stop();
   }
 
   RealtimeConfig config_;
@@ -1093,6 +1085,9 @@ Result<std::unique_ptr<ReplayPipeline>> ReplayPipeline::Start(
     return Error(ErrorCode::kInvalidArgument,
                  "need at least one distributor and querier");
   }
+  if (config.query_timeout <= 0) {
+    return Error(ErrorCode::kInvalidArgument, "query_timeout must be > 0");
+  }
   auto pipeline = std::unique_ptr<ReplayPipeline>(new ReplayPipeline());
   pipeline->impl_ = std::make_unique<Impl>(config);
   Impl& impl = *pipeline->impl_;
@@ -1156,10 +1151,6 @@ bool ReplayPipeline::Done() const {
          impl_->distributors.size();
 }
 
-uint64_t ReplayPipeline::SentCount() const {
-  return impl_->counters->sent.Get();
-}
-
 uint64_t ReplayPipeline::TerminalCount() const {
   const TransportCounters& c = *impl_->counters;
   return c.answered.Get() + c.timed_out.Get() + c.send_failed.Get();
@@ -1182,7 +1173,6 @@ Result<RealtimeReport> ReplayPipeline::Finish() {
   impl.chunks.clear();
   report.queries_sent = impl.counters->sent.Get();
   report.answered = impl.counters->answered.Get();
-  report.replies = report.answered;
   report.timed_out = impl.counters->timed_out.Get();
   report.send_failed = impl.counters->send_failed.Get();
   report.retransmits = impl.counters->retransmits.Get();

@@ -6,9 +6,11 @@
 // (the Reader "pre-loads a window of queries to avoid falling behind real
 // time") and the Postman hands each query to a distributor chosen by
 // sticky same-source assignment. Each distributor is a thread running an
-// epoll event loop hosting several logical queriers; a querier owns one
-// UDP socket and per-source TCP connections, schedules each query with the
-// ΔT = Δt̄ − Δt rule, sends it, and timestamps the reply.
+// epoll event loop hosting several logical queriers and schedules each
+// query with the ΔT = Δt̄ − Δt rule. A querier hands it to one of two
+// lanes: a datagram lane (one UDP socket or AF_PACKET ring) or a stream
+// lane (per-source TCP or DoT connections). The lane sends it and
+// timestamps the reply.
 //
 // Every replayed query is tracked to a terminal outcome: answered, timed
 // out (a timer wheel ages inflight entries past query_timeout, after any
@@ -59,27 +61,17 @@ struct RealtimeConfig {
   size_t queriers_per_distributor = 3;
   // Fast mode (paper §4.3): ignore trace timing, send as fast as possible.
   bool fast_mode = false;
-  // Batch UDP sends with sendmmsg: queries dispatched in the same loop
-  // iteration share one syscall (flushed at every scheduling point, so
-  // timed replay still sends each query at its scheduled instant). Off =
-  // one sendto per query, the original single-syscall path.
-  bool batch_udp = true;
   // How far ahead of real time the controller feeds queries.
   NanoDuration lookahead = Millis(500);
   // Delay before the synchronized start (lets threads spin up).
   NanoDuration start_delay = Millis(100);
-  // Wait after the last send for trailing replies. Only used when
-  // query_timeout == 0; with timeouts enabled the replay ends as soon as
-  // every query has reached a terminal outcome.
-  NanoDuration drain_grace = Millis(500);
   uint64_t seed = 99;
 
   // --- Robust transport: timeouts, retransmit, TCP lifecycle ---
 
   // Inflight queries age out after this long without a reply and count as
-  // timed_out. 0 disables aging: unanswered queries stay unresolved
-  // (state kPending) and the replay ends after drain_grace — the legacy
-  // behavior, where loss is invisible.
+  // timed_out; the replay ends once every query is terminal. Must be > 0
+  // (ReplayPipeline::Start refuses anything else).
   NanoDuration query_timeout = Seconds(2);
   // UDP retransmits before declaring a timeout; retry k waits
   // query_timeout << k (exponential backoff). TCP queries are never
@@ -137,7 +129,7 @@ struct RealtimeConfig {
 struct SendOutcome {
   // Terminal outcome of one replayed query.
   enum class State : uint8_t {
-    kPending = 0,  // not yet (or, with query_timeout == 0, never) resolved
+    kPending = 0,  // not yet resolved
     kAnswered,
     kTimedOut,    // reached the wire, aged out without a reply
     kSendFailed,  // never reached the wire (kernel refused the datagram,
@@ -156,9 +148,8 @@ struct SendOutcome {
 struct RealtimeReport {
   std::vector<SendOutcome> sends;  // trace order
   uint64_t queries_sent = 0;
-  uint64_t replies = 0;  // == answered; kept for existing callers
 
-  // Terminal-outcome accounting. With query_timeout > 0,
+  // Terminal-outcome accounting:
   //   queries_sent == answered + timed_out + send_failed
   // holds once RunRealtimeReplay returns.
   uint64_t answered = 0;
@@ -219,7 +210,7 @@ Result<RealtimeReport> RunRealtimeReplay(
 // — and RunRealtimeReplay itself is now a thin Reader loop over one.
 //
 // Threading: Start spawns the distributor threads. Feed/CloseInput/fed
-// must be called from ONE feeder thread; Done/SentCount/TerminalCount are
+// must be called from ONE feeder thread; Done/TerminalCount are
 // safe from that thread while distributors run. Finish joins and may be
 // called once (the destructor joins too if Finish never ran).
 class ReplayPipeline {
@@ -228,6 +219,8 @@ class ReplayPipeline {
   // clock — a record with rebased time t is sent at epoch_mono + t.
   // `trace_epoch` is subtracted from every fed record's timestamp (pass
   // records.front().timestamp, or 0 when the feeder pre-rebased them).
+  // Refuses (kInvalidArgument) zero distributors or queriers and a
+  // query_timeout that is not positive.
   static Result<std::unique_ptr<ReplayPipeline>> Start(
       const RealtimeConfig& config, NanoTime epoch_mono,
       NanoTime trace_epoch);
@@ -238,13 +231,12 @@ class ReplayPipeline {
   // Hands a batch to the distributors (timestamps ascend across calls).
   void Feed(std::span<const trace::QueryRecord> records);
   // After the last Feed. Distributors finish once every fed query reaches
-  // a terminal outcome (or, with query_timeout == 0, after drain_grace).
+  // a terminal outcome.
   void CloseInput();
 
   uint64_t fed() const;
   // True once every distributor thread has stopped (non-blocking).
   bool Done() const;
-  uint64_t SentCount() const;
   // Queries at a terminal outcome so far. `fed() - TerminalCount()` is the
   // engine's backlog — the agent's backpressure signal for withholding
   // chunk credits.

@@ -53,25 +53,23 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   hello.agent_id = 3;
   hello.credit_window = 5;
   hello.stats_interval = Millis(250);
-  hello.server = Endpoint{IpAddress(192, 0, 2, 1), 5353};
-  hello.follow_trace_dst = true;
-  hello.dst_port_override = 9953;
-  hello.loopback_alias_dst = true;
-  hello.fast_mode = true;
-  hello.batch_udp = false;
-  hello.n_distributors = 4;
-  hello.queriers_per_distributor = 2;
-  hello.lookahead = Millis(123);
-  hello.drain_grace = Millis(77);
-  hello.seed = 0xfeedbeefcafe;
-  hello.query_timeout = Seconds(3);
-  hello.max_retransmits = 2;
-  hello.tcp_idle_timeout = Seconds(9);
-  hello.tcp_max_reconnects = 7;
-  hello.datapath = net::DatapathKind::kAfPacket;
-  hello.afpacket_interface = "veth0";
-  hello.afpacket_peer_mac = "aa:bb:cc:dd:ee:ff";
-  hello.tls_port = 8853;
+  hello.config.server = Endpoint{IpAddress(192, 0, 2, 1), 5353};
+  hello.config.follow_trace_dst = true;
+  hello.config.dst_port_override = 9953;
+  hello.config.loopback_alias_dst = true;
+  hello.config.fast_mode = true;
+  hello.config.n_distributors = 4;
+  hello.config.queriers_per_distributor = 2;
+  hello.config.lookahead = Millis(123);
+  hello.config.seed = 0xfeedbeefcafe;
+  hello.config.query_timeout = Seconds(3);
+  hello.config.max_retransmits = 2;
+  hello.config.tcp_idle_timeout = Seconds(9);
+  hello.config.tcp_max_reconnects = 7;
+  hello.config.datapath = net::DatapathKind::kAfPacket;
+  hello.config.afpacket.interface = "veth0";
+  hello.config.afpacket.peer_mac = "aa:bb:cc:dd:ee:ff";
+  hello.config.tls_port = 8853;
 
   Bytes wire = EncodeHello(hello);
   // Byte-at-a-time reassembly must produce the identical frame.
@@ -79,78 +77,57 @@ TEST(ProtocolTest, HelloRoundTripsThroughFragmentedStream) {
   ASSERT_EQ(frames.size(), 1u);
   auto decoded = DecodeHello(frames[0]);
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
+  const replay::RealtimeConfig& sent = hello.config;
+  const replay::RealtimeConfig& got = decoded->config;
   EXPECT_EQ(decoded->agent_id, hello.agent_id);
   EXPECT_EQ(decoded->credit_window, hello.credit_window);
   EXPECT_EQ(decoded->stats_interval, hello.stats_interval);
-  EXPECT_EQ(decoded->server.addr.value(), hello.server.addr.value());
-  EXPECT_EQ(decoded->server.port, hello.server.port);
-  EXPECT_EQ(decoded->follow_trace_dst, hello.follow_trace_dst);
-  EXPECT_EQ(decoded->dst_port_override, hello.dst_port_override);
-  EXPECT_EQ(decoded->loopback_alias_dst, hello.loopback_alias_dst);
-  EXPECT_EQ(decoded->fast_mode, hello.fast_mode);
-  EXPECT_EQ(decoded->batch_udp, hello.batch_udp);
-  EXPECT_EQ(decoded->n_distributors, hello.n_distributors);
-  EXPECT_EQ(decoded->queriers_per_distributor,
-            hello.queriers_per_distributor);
-  EXPECT_EQ(decoded->lookahead, hello.lookahead);
-  EXPECT_EQ(decoded->drain_grace, hello.drain_grace);
-  EXPECT_EQ(decoded->seed, hello.seed);
-  EXPECT_EQ(decoded->query_timeout, hello.query_timeout);
-  EXPECT_EQ(decoded->max_retransmits, hello.max_retransmits);
-  EXPECT_EQ(decoded->tcp_idle_timeout, hello.tcp_idle_timeout);
-  EXPECT_EQ(decoded->tcp_max_reconnects, hello.tcp_max_reconnects);
-  EXPECT_EQ(decoded->datapath, hello.datapath);
-  EXPECT_EQ(decoded->afpacket_interface, hello.afpacket_interface);
-  EXPECT_EQ(decoded->afpacket_peer_mac, hello.afpacket_peer_mac);
-  EXPECT_EQ(decoded->tls_port, hello.tls_port);
-
-  // And the RealtimeConfig round trip preserves the replay parameters.
-  replay::RealtimeConfig config = decoded->ToRealtimeConfig();
-  HelloFrame again = HelloFrame::FromConfig(config);
-  EXPECT_EQ(again.seed, hello.seed);
-  EXPECT_EQ(again.lookahead, hello.lookahead);
-  EXPECT_EQ(again.fast_mode, hello.fast_mode);
-  EXPECT_EQ(again.n_distributors, hello.n_distributors);
-  EXPECT_EQ(again.datapath, hello.datapath);
-  EXPECT_EQ(again.afpacket_interface, hello.afpacket_interface);
-  EXPECT_EQ(again.afpacket_peer_mac, hello.afpacket_peer_mac);
-  EXPECT_EQ(again.tls_port, hello.tls_port);
+  EXPECT_EQ(got.server.addr.value(), sent.server.addr.value());
+  EXPECT_EQ(got.server.port, sent.server.port);
+  EXPECT_EQ(got.follow_trace_dst, sent.follow_trace_dst);
+  EXPECT_EQ(got.dst_port_override, sent.dst_port_override);
+  EXPECT_EQ(got.loopback_alias_dst, sent.loopback_alias_dst);
+  EXPECT_EQ(got.fast_mode, sent.fast_mode);
+  EXPECT_EQ(got.n_distributors, sent.n_distributors);
+  EXPECT_EQ(got.queriers_per_distributor, sent.queriers_per_distributor);
+  EXPECT_EQ(got.lookahead, sent.lookahead);
+  EXPECT_EQ(got.seed, sent.seed);
+  EXPECT_EQ(got.query_timeout, sent.query_timeout);
+  EXPECT_EQ(got.max_retransmits, sent.max_retransmits);
+  EXPECT_EQ(got.tcp_idle_timeout, sent.tcp_idle_timeout);
+  EXPECT_EQ(got.tcp_max_reconnects, sent.tcp_max_reconnects);
+  EXPECT_EQ(got.datapath, sent.datapath);
+  EXPECT_EQ(got.afpacket.interface, sent.afpacket.interface);
+  EXPECT_EQ(got.afpacket.peer_mac, sent.afpacket.peer_mac);
+  EXPECT_EQ(got.tls_port, sent.tls_port);
 }
 
-TEST(ProtocolTest, HelloFromOlderPeerDecodesWithTailDefaults) {
-  // A v1 controller sends a HELLO that ends at tcp_max_reconnects: no
-  // datapath/TLS tail. The decode must still succeed, with the documented
-  // defaults standing in for the missing fields.
+TEST(ProtocolTest, HelloFromOtherVersionIsRefused) {
   HelloFrame hello;
   hello.agent_id = 12;
-  hello.datapath = net::DatapathKind::kAfPacket;  // must NOT survive
-  hello.afpacket_interface = "veth9";
-  hello.tls_port = 1234;
-  Bytes wire = EncodeHello(hello);
-  auto frames = Reassemble(wire, 1);
+  auto frames = Reassemble(EncodeHello(hello), 1);
   ASSERT_EQ(frames.size(), 1u);
 
-  // Strip the tail (u8 datapath | name interface | name mac | u16 port)
-  // and stamp the version a v1 sender would have written.
-  size_t tail = 1 + (2 + hello.afpacket_interface.size()) +
-                (2 + hello.afpacket_peer_mac.size()) + 2;
-  Frame v1 = frames[0];
-  ASSERT_GT(v1.body.size(), tail);
-  v1.body.resize(v1.body.size() - tail);
-  v1.body[4] = 0;  // version u16 sits after the u32 magic
-  v1.body[5] = 1;
-  auto decoded = DecodeHello(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
-  EXPECT_EQ(decoded->agent_id, 12);
-  EXPECT_EQ(decoded->datapath, net::DatapathKind::kEpoll);
-  EXPECT_EQ(decoded->afpacket_interface, "lo");
-  EXPECT_EQ(decoded->afpacket_peer_mac, "");
-  EXPECT_EQ(decoded->tls_port, 0);
+  // A v2 HELLO carried an 8-byte drain grace right after the look-ahead.
+  // Rebuild that layout: the decoder must refuse it by its version, not
+  // misparse the shifted fields that follow.
+  // magic 4 | version 2 | agent 2 | credits 4 | stats 8 | server 4+2 |
+  // flags 1 | dst port 2 | distributors 2 | queriers 2 | look-ahead 8
+  constexpr size_t kDrainGraceAt = 4 + 2 + 2 + 4 + 8 + 6 + 1 + 2 + 2 + 2 + 8;
+  Frame v2 = frames[0];
+  v2.body[4] = 0;  // version u16 sits after the u32 magic
+  v2.body[5] = 2;
+  v2.body.insert(v2.body.begin() + kDrainGraceAt, 8, 0);
+  auto decoded = DecodeHello(v2);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kUnsupported);
 
-  // A version beyond ours is still rejected outright.
+  // A version beyond ours is refused the same way.
   Frame future = frames[0];
   future.body[5] = static_cast<uint8_t>(kVersion + 1);
-  EXPECT_FALSE(DecodeHello(future).ok());
+  decoded = DecodeHello(future);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kUnsupported);
 }
 
 TEST(ProtocolTest, ChunkRoundTripPreservesRecords) {

@@ -177,7 +177,7 @@ void WriteFramingCorpus(const std::filesystem::path& dir) {
 void WriteDistribCorpus(const std::filesystem::path& dir) {
   distrib::HelloFrame hello;
   hello.agent_id = 3;
-  hello.server =
+  hello.config.server =
       Endpoint{std::move(IpAddress::Parse("127.0.0.1")).value(), 5353};
 
   distrib::ChunkFrame chunk;

@@ -94,19 +94,20 @@ void ExpectTerminalAccounting(const RealtimeReport& report) {
   EXPECT_EQ(answered, report.answered);
   EXPECT_EQ(timed_out, report.timed_out);
   EXPECT_EQ(send_failed, report.send_failed);
-  EXPECT_EQ(report.replies, report.answered);
 }
 
 // A local endpoint that swallows datagrams: a bound UDP socket nobody
 // reads. Loopback sends succeed (full receive queues drop silently), so
 // every query reaches the wire and must age out via the timer wheel.
+// `port` 0 binds an ephemeral port; ok() is false if the bind failed.
 class BlackholeUdp {
  public:
-  BlackholeUdp() {
+  explicit BlackholeUdp(uint16_t port = 0) {
     fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
     if (fd_ >= 0 &&
         ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       socklen_t len = sizeof(addr);
@@ -189,7 +190,7 @@ TEST_F(RealtimeReplayTest, UdpReplayGetsAllReplies) {
   EXPECT_EQ(report->queries_sent, 200u);
   // Loopback UDP against a live server: replies should be complete, but
   // allow a stray loss under heavy CI load.
-  EXPECT_GE(report->replies, 198u);
+  EXPECT_GE(report->answered, 198u);
   ExpectTerminalAccounting(*report);
 }
 
@@ -232,7 +233,7 @@ TEST_F(RealtimeReplayTest, TcpReplayReusesConnections) {
   auto report = RunRealtimeReplay(records, MakeConfig());
   ASSERT_TRUE(report.ok()) << report.error().ToString();
   EXPECT_EQ(report->queries_sent, 100u);
-  EXPECT_GE(report->replies, 98u);
+  EXPECT_GE(report->answered, 98u);
   ExpectTerminalAccounting(*report);
   // 20 sources, sticky assignment: connection count stays near the source
   // count, far below the query count. Stop the server first so the gauge
@@ -457,10 +458,87 @@ TEST_F(RealtimeReplayTest, TcpClientIdleTimeoutClosesAndRedials) {
   ExpectTerminalAccounting(*report);
 }
 
+// A server that answers nothing on either transport: a UDP blackhole and
+// a TCP listener that accepts and reads but never replies, on one port
+// number. A trace alternating UDP and TCP through one querier must age
+// out on both lanes: every stream query reached the wire, so it ends
+// timed_out (not send_failed), and the querier goes idle, ending the
+// replay, as soon as the last timeout fires.
+TEST(RealtimeTransport, SilentServerAgesOutOnBothLanes) {
+  auto loop = net::EventLoop::Create();
+  ASSERT_TRUE(loop.ok());
+  std::vector<std::unique_ptr<net::TcpConnection>> conns;
+  std::unique_ptr<net::TcpListener> listener;
+  std::unique_ptr<BlackholeUdp> blackhole;
+  // The TCP port is ephemeral; retry while the same UDP port is taken.
+  for (int attempt = 0; attempt < 20 && blackhole == nullptr; ++attempt) {
+    auto listening = net::TcpListener::Listen(
+        **loop, Endpoint{IpAddress::Loopback(), 0},
+        [&conns](std::unique_ptr<net::TcpConnection> conn) {
+          auto status = net::TcpListener::AdoptHandlers(
+              *conn, [](std::span<const uint8_t>) {}, [](Status) {});
+          EXPECT_TRUE(status.ok());
+          conns.push_back(std::move(conn));
+        });
+    ASSERT_TRUE(listening.ok()) << listening.error().ToString();
+    auto udp = std::make_unique<BlackholeUdp>((*listening)->local().port);
+    if (!udp->ok()) continue;
+    listener = std::move(*listening);
+    blackhole = std::move(udp);
+  }
+  ASSERT_NE(blackhole, nullptr) << "no port free for both UDP and TCP";
+  std::thread server_thread([&]() { (*loop)->Run(); });
+
+  auto records = MakeTraceTo(listener->local(), 20, Millis(2),
+                             /*n_clients=*/4);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].protocol =
+        i % 2 == 0 ? trace::Protocol::kUdp : trace::Protocol::kTcp;
+  }
+  RealtimeConfig config;
+  config.server = listener->local();
+  config.n_distributors = 1;
+  config.queriers_per_distributor = 1;
+  config.query_timeout = Millis(300);
+
+  NanoTime start = MonotonicNow();
+  auto report = RunRealtimeReplay(records, config);
+  NanoDuration elapsed = MonotonicNow() - start;
+  (*loop)->RequestStop();
+  server_thread.join();
+
+  ASSERT_TRUE(report.ok()) << report.error().ToString();
+  EXPECT_EQ(report->queries_sent, 20u);
+  EXPECT_EQ(report->answered, 0u);
+  EXPECT_EQ(report->timed_out, 20u);
+  EXPECT_EQ(report->send_failed, 0u);
+  EXPECT_EQ(report->tcp_reconnects, 0u);
+  ExpectTerminalAccounting(*report);
+  // Start delay, 40 ms of trace, then one timeout: the replay waits for
+  // the last query's timeout and not much longer.
+  EXPECT_GE(elapsed, config.query_timeout);
+  if (!kUnderTsan) {
+    EXPECT_LT(elapsed, config.start_delay + Millis(40) +
+                           config.query_timeout + Millis(250));
+  }
+}
+
 TEST(RealtimeReplayErrors, EmptyTraceRejected) {
   RealtimeConfig config;
   config.server = Endpoint{IpAddress::Loopback(), 5353};
   EXPECT_FALSE(RunRealtimeReplay({}, config).ok());
+}
+
+TEST(RealtimeReplayErrors, NonPositiveTimeoutRejected) {
+  RealtimeConfig config;
+  config.server = Endpoint{IpAddress::Loopback(), 5353};
+  auto records = MakeTraceTo(config.server, 4, Millis(1));
+  for (NanoDuration timeout : {NanoDuration{0}, -Millis(1)}) {
+    config.query_timeout = timeout;
+    auto report = RunRealtimeReplay(records, config);
+    ASSERT_FALSE(report.ok()) << "query_timeout " << timeout;
+    EXPECT_EQ(report.error().code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

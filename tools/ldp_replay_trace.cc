@@ -38,8 +38,7 @@ constexpr const char* kUsage =
                         (default 127.0.0.1); distinct 127.x.y.z values per
                         replay process give each client group its own
                         source prefix — what a proxy catchment map routes on
-  --timeout-ms N        age out inflight queries after N ms (2000;
-                        0 = legacy: loss is invisible, wait drain grace)
+  --timeout-ms N        age out inflight queries after N ms (2000; > 0)
   --retransmits N       UDP retransmits before timing out, with
                         exponential backoff (0)
   --tcp-idle-timeout-ms N  close idle TCP connections after N ms (0 = keep)
@@ -392,8 +391,8 @@ int main(int argc, char** argv) {
 
   if (snapshotter != nullptr) {
     // The final JSONL row was written after every distributor joined, so
-    // its cumulative counters must equal the report exactly — and, with
-    // timeouts on, satisfy sent == answered + timed_out + send_failed.
+    // its cumulative counters must equal the report exactly and satisfy
+    // sent == answered + timed_out + send_failed.
     const auto& last = snapshotter->history().back();
     uint64_t sent = last.CounterValue("replay.sent");
     uint64_t answered = last.CounterValue("replay.answered");
@@ -402,8 +401,7 @@ int main(int argc, char** argv) {
     bool matches_report =
         sent == report->queries_sent && answered == report->answered &&
         timed_out == report->timed_out && send_failed == report->send_failed;
-    bool invariant = config.query_timeout <= 0 ||
-                     sent == answered + timed_out + send_failed;
+    bool invariant = sent == answered + timed_out + send_failed;
     std::printf("metrics: %llu rows to %s; reconcile: %s\n",
                 static_cast<unsigned long long>(snapshotter->rows_written()),
                 metrics_out.c_str(),
