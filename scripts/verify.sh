@@ -6,7 +6,7 @@
 # cache, TLS transport) again under ThreadSanitizer (-DLDP_SANITIZE=thread),
 # and the connection-lifetime tests (TCP reconnect, destroy-in-callback,
 # timer wheel expiry, TLS handshake/resumption, sharded TCP accept, distrib
-# agents) under AddressSanitizer (-DLDP_SANITIZE=address) together with the
+# agents, relay flow sockets, flood source rotation) under AddressSanitizer (-DLDP_SANITIZE=address) together with the
 # zone index (zone_test, lookup oracle, wire byte identity), and the whole
 # suite under UndefinedBehaviorSanitizer (-DLDP_SANITIZE=undefined, every
 # report fatal).
@@ -441,14 +441,16 @@ echo "== asan: socket + replay lifetime paths, distrib agents, zone index =="
 # The zone index hands out offsets into its key arena and references into
 # shared zone storage; zone_test, the lookup oracle and the wire byte-identity
 # test walk those under ASan. distrib_test covers agents, which decode HELLO
-# from the network and run the replay querier.
+# from the network and run the replay querier. proxy_relay_test and
+# scenario_test open and close datagram sockets on the hot path (relay flows,
+# rotating flood sources).
 cmake -B build-asan -S . -DLDP_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   net_test replay_realtime_test packet_codec_test datapath_test \
   tls_test sharded_server_test zone_test lookup_oracle_test \
-  wire_identity_test distrib_test
+  wire_identity_test distrib_test proxy_relay_test scenario_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|zone_test|lookup_oracle_test|wire_identity_test|distrib_test'
+  -R 'net_test|replay_realtime_test|packet_codec_test|datapath_test|tls_test|sharded_server_test|zone_test|lookup_oracle_test|wire_identity_test|distrib_test|proxy_relay_test|scenario_test'
 
 echo "== ubsan: full suite, reports fatal =="
 # CMakeLists.txt adds -fno-sanitize-recover=undefined for this sanitizer,

@@ -40,6 +40,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/sockets.h"
+
 namespace ldp::net {
 
 namespace {
@@ -52,18 +54,6 @@ namespace {
 #define PACKET_QDISC_BYPASS 20
 #endif
 
-Error Errno(ErrorCode code, const std::string& what) {
-  return Error(code, what + ": " + std::strerror(errno));
-}
-
-sockaddr_in ToSockaddr(Endpoint endpoint) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(endpoint.port);
-  addr.sin_addr.s_addr = htonl(endpoint.addr.value());
-  return addr;
-}
-
 Status AttachFilter(int fd, std::span<sock_filter> insns,
                     const char* what) {
   sock_fprog prog{};
@@ -71,7 +61,7 @@ Status AttachFilter(int fd, std::span<sock_filter> insns,
   prog.filter = insns.data();
   if (::setsockopt(fd, SOL_SOCKET, SO_ATTACH_FILTER, &prog, sizeof(prog)) !=
       0) {
-    return Errno(ErrorCode::kIoError, std::string("attach ") + what);
+    return Errno(std::string("attach ") + what);
   }
   return Status::Ok();
 }
@@ -166,15 +156,15 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
   }
   {
     Fd probe(::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0));
-    if (!probe.valid()) return Errno(ErrorCode::kIoError, "socket(probe)");
+    if (!probe.valid()) return Errno("socket(probe)");
     ifreq ifr{};
     std::strncpy(ifr.ifr_name, ap.interface.c_str(), IFNAMSIZ - 1);
     if (::ioctl(probe.get(), SIOCGIFFLAGS, &ifr) != 0) {
-      return Errno(ErrorCode::kIoError, "ioctl(SIOCGIFFLAGS " + ap.interface + ")");
+      return Errno("ioctl(SIOCGIFFLAGS " + ap.interface + ")");
     }
     is_loopback_ = (ifr.ifr_flags & IFF_LOOPBACK) != 0;
     if (::ioctl(probe.get(), SIOCGIFHWADDR, &ifr) != 0) {
-      return Errno(ErrorCode::kIoError, "ioctl(SIOCGIFHWADDR " + ap.interface + ")");
+      return Errno("ioctl(SIOCGIFHWADDR " + ap.interface + ")");
     }
     std::memcpy(if_mac_.bytes.data(), ifr.ifr_hwaddr.sa_data, 6);
   }
@@ -185,31 +175,9 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
 
   // --- shadow kernel UDP socket: reserve the port, resolve port 0,
   //     silence ICMP port-unreachable ---
-  shadow_fd_ =
-      Fd(::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!shadow_fd_.valid()) return Errno(ErrorCode::kIoError, "socket(shadow)");
-  if (options.udp.reuse_port) {
-    int one = 1;
-    if (::setsockopt(shadow_fd_.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0) {
-      return Errno(ErrorCode::kIoError, "setsockopt(SO_REUSEPORT shadow)");
-    }
-  }
-  sockaddr_in addr = ToSockaddr(local);
-  if (::bind(shadow_fd_.get(), reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Errno(ErrorCode::kIoError, "bind shadow " + local.ToString());
-  }
-  {
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(shadow_fd_.get(), reinterpret_cast<sockaddr*>(&bound),
-                      &len) != 0) {
-      return Errno(ErrorCode::kIoError, "getsockname(shadow)");
-    }
-    local_ = Endpoint{IpAddress(ntohl(bound.sin_addr.s_addr)),
-                      ntohs(bound.sin_port)};
-  }
+  LDP_ASSIGN_OR_RETURN(BoundUdp shadow, BindUdp(local, options.udp));
+  shadow_fd_ = std::move(shadow.fd);
+  local_ = shadow.local;
   LDP_RETURN_IF_ERROR(AttachDropAllFilter(shadow_fd_.get(), "shadow filter"));
 
   // --- rx: TPACKET_V3 ring ---
@@ -223,12 +191,12 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
                    "(run as root or `setcap cap_net_raw+ep`), or use "
                    "--datapath=epoll");
     }
-    return Errno(ErrorCode::kIoError, "socket(AF_PACKET rx)");
+    return Errno("socket(AF_PACKET rx)");
   }
   int version = TPACKET_V3;
   if (::setsockopt(rx_fd_.get(), SOL_PACKET, PACKET_VERSION, &version,
                    sizeof(version)) != 0) {
-    return Errno(ErrorCode::kUnsupported, "afpacket: TPACKET_V3 unavailable");
+    return Errno("afpacket: TPACKET_V3 unavailable", ErrorCode::kUnsupported);
   }
   if (ap.rx_block_bytes == 0 || ap.rx_block_count == 0 ||
       ap.rx_block_bytes % static_cast<size_t>(::getpagesize()) != 0) {
@@ -247,14 +215,14 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
   req3.tp_retire_blk_tov = ap.rx_retire_timeout_ms;
   if (::setsockopt(rx_fd_.get(), SOL_PACKET, PACKET_RX_RING, &req3,
                    sizeof(req3)) != 0) {
-    return Errno(ErrorCode::kUnsupported, "afpacket: PACKET_RX_RING(V3)");
+    return Errno("afpacket: PACKET_RX_RING(V3)", ErrorCode::kUnsupported);
   }
   rx_map_len_ = rx_block_bytes_ * rx_block_count_;
   void* map = ::mmap(nullptr, rx_map_len_, PROT_READ | PROT_WRITE, MAP_SHARED,
                      rx_fd_.get(), 0);
   if (map == MAP_FAILED) {
     rx_map_len_ = 0;
-    return Errno(ErrorCode::kIoError, "mmap(rx ring)");
+    return Errno("mmap(rx ring)");
   }
   rx_map_ = static_cast<uint8_t*>(map);
   auto steer = BuildSteeringFilter(local_.port, local_.addr);
@@ -272,7 +240,7 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
   sll.sll_ifindex = static_cast<int>(ifindex_);
   if (::bind(rx_fd_.get(), reinterpret_cast<sockaddr*>(&sll), sizeof(sll)) !=
       0) {
-    return Errno(ErrorCode::kIoError, "bind(AF_PACKET rx " + ap.interface + ")");
+    return Errno("bind(AF_PACKET rx " + ap.interface + ")");
   }
   if (ap.fanout) {
     // Hash fanout splits flows across the sibling shards' rings; the group
@@ -282,7 +250,7 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
         (local_.port & 0xffff) | (PACKET_FANOUT_HASH << 16);
     if (::setsockopt(rx_fd_.get(), SOL_PACKET, PACKET_FANOUT, &fanout_arg,
                      sizeof(fanout_arg)) != 0) {
-      return Errno(ErrorCode::kUnsupported, "afpacket: PACKET_FANOUT");
+      return Errno("afpacket: PACKET_FANOUT", ErrorCode::kUnsupported);
     }
   }
 
@@ -293,11 +261,11 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
                  "afpacket: tx_frame_bytes must be a power of two >= 256");
   }
   tx_fd_ = Fd(::socket(AF_PACKET, SOCK_RAW | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!tx_fd_.valid()) return Errno(ErrorCode::kIoError, "socket(AF_PACKET tx)");
+  if (!tx_fd_.valid()) return Errno("socket(AF_PACKET tx)");
   version = TPACKET_V2;
   if (::setsockopt(tx_fd_.get(), SOL_PACKET, PACKET_VERSION, &version,
                    sizeof(version)) != 0) {
-    return Errno(ErrorCode::kUnsupported, "afpacket: TPACKET_V2 unavailable");
+    return Errno("afpacket: TPACKET_V2 unavailable", ErrorCode::kUnsupported);
   }
   tx_frame_bytes_ = ap.tx_frame_bytes;
   tx_frame_count_ = ap.tx_frame_count;
@@ -314,14 +282,14 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
   req.tp_frame_nr = static_cast<unsigned>(tx_frame_count_);
   if (::setsockopt(tx_fd_.get(), SOL_PACKET, PACKET_TX_RING, &req,
                    sizeof(req)) != 0) {
-    return Errno(ErrorCode::kUnsupported, "afpacket: PACKET_TX_RING(V2)");
+    return Errno("afpacket: PACKET_TX_RING(V2)", ErrorCode::kUnsupported);
   }
   tx_map_len_ = tx_block_bytes * tx_blocks;
   map = ::mmap(nullptr, tx_map_len_, PROT_READ | PROT_WRITE, MAP_SHARED,
                tx_fd_.get(), 0);
   if (map == MAP_FAILED) {
     tx_map_len_ = 0;
-    return Errno(ErrorCode::kIoError, "mmap(tx ring)");
+    return Errno("mmap(tx ring)");
   }
   tx_map_ = static_cast<uint8_t*>(map);
   tx_data_offset_ = TPACKET_ALIGN(sizeof(tpacket2_hdr));
@@ -341,14 +309,14 @@ Status AfPacketPath::Init(Endpoint local, const DatapathOptions& options) {
   tx_sll.sll_ifindex = static_cast<int>(ifindex_);
   if (::bind(tx_fd_.get(), reinterpret_cast<sockaddr*>(&tx_sll),
              sizeof(tx_sll)) != 0) {
-    return Errno(ErrorCode::kIoError, "bind(AF_PACKET tx)");
+    return Errno("bind(AF_PACKET tx)");
   }
 
   // --- oversize fallback: plain packet socket, frame staged in a buffer ---
   oversize_fd_ =
       Fd(::socket(AF_PACKET, SOCK_RAW | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!oversize_fd_.valid()) {
-    return Errno(ErrorCode::kIoError, "socket(AF_PACKET oversize)");
+    return Errno("socket(AF_PACKET oversize)");
   }
   LDP_RETURN_IF_ERROR(AttachDropAllFilter(oversize_fd_.get(), "oversize filter"));
 
@@ -592,13 +560,12 @@ Status ProbeAfPacket(const AfPacketOptions& options) {
                    "(run as root or `setcap cap_net_raw+ep`), or use "
                    "--datapath=epoll");
     }
-    return Errno(ErrorCode::kIoError, "socket(AF_PACKET)");
+    return Errno("socket(AF_PACKET)");
   }
   int version = TPACKET_V3;
   if (::setsockopt(rx.get(), SOL_PACKET, PACKET_VERSION, &version,
                    sizeof(version)) != 0) {
-    return Errno(ErrorCode::kUnsupported,
-                 "afpacket: kernel lacks TPACKET_V3");
+    return Errno("afpacket: kernel lacks TPACKET_V3", ErrorCode::kUnsupported);
   }
   tpacket_req3 req3{};
   req3.tp_block_size = static_cast<unsigned>(::getpagesize());
@@ -608,16 +575,15 @@ Status ProbeAfPacket(const AfPacketOptions& options) {
   req3.tp_retire_blk_tov = 10;
   if (::setsockopt(rx.get(), SOL_PACKET, PACKET_RX_RING, &req3,
                    sizeof(req3)) != 0) {
-    return Errno(ErrorCode::kUnsupported,
-                 "afpacket: TPACKET_V3 rx ring rejected");
+    return Errno("afpacket: TPACKET_V3 rx ring rejected",
+                 ErrorCode::kUnsupported);
   }
   Fd tx(::socket(AF_PACKET, SOCK_RAW | SOCK_CLOEXEC, 0));
-  if (!tx.valid()) return Errno(ErrorCode::kIoError, "socket(AF_PACKET tx)");
+  if (!tx.valid()) return Errno("socket(AF_PACKET tx)");
   version = TPACKET_V2;
   if (::setsockopt(tx.get(), SOL_PACKET, PACKET_VERSION, &version,
                    sizeof(version)) != 0) {
-    return Errno(ErrorCode::kUnsupported,
-                 "afpacket: kernel lacks TPACKET_V2");
+    return Errno("afpacket: kernel lacks TPACKET_V2", ErrorCode::kUnsupported);
   }
   tpacket_req req{};
   req.tp_block_size = static_cast<unsigned>(::getpagesize());
@@ -626,8 +592,8 @@ Status ProbeAfPacket(const AfPacketOptions& options) {
   req.tp_frame_nr = req.tp_block_size / 2048 * 2;
   if (::setsockopt(tx.get(), SOL_PACKET, PACKET_TX_RING, &req, sizeof(req)) !=
       0) {
-    return Errno(ErrorCode::kUnsupported,
-                 "afpacket: TPACKET_V2 tx ring rejected");
+    return Errno("afpacket: TPACKET_V2 tx ring rejected",
+                 ErrorCode::kUnsupported);
   }
   return Status::Ok();
 }

@@ -1,21 +1,22 @@
-// DatagramPath: the transport seam between the DNS engines and "how bytes
-// reach them". ShardedDnsServer, HierarchyProxy, and the realtime replay
-// querier all speak this interface; what sits underneath is selected at
-// open time:
+// DatagramPath: the one datagram type. ShardedDnsServer, HierarchyProxy
+// (listeners and per-flow relay sockets), the realtime replay querier, the
+// scenario floods and ldp_query all move UDP through it; Open picks one of
+// two backends:
 //
-//   kEpoll     — the existing kernel UDP sockets with recvmmsg/sendmmsg
-//                batching (net/sockets.h). Default; no capabilities needed.
+//   kEpoll     — a kernel UDP socket (net::UdpSocket, net/sockets.h) with
+//                recvmmsg/sendmmsg batching. Default; no capabilities needed.
 //   kAfPacket  — AF_PACKET mmap rings (TPACKET_V3 rx, TPACKET_V2 tx) with
 //                userspace Ethernet/IPv4/UDP assembly (net/packet_codec.h),
 //                a BPF steering filter, and PACKET_FANOUT across shards.
 //                Needs CAP_NET_RAW; see net/afpacket.cc for the packet walk.
 //
-// The interface is deliberately the UdpSocket batch shape plus two fields
-// kernel sockets cannot express per datagram: RecvItem::to (the local
-// address a datagram actually targeted — one wildcard afpacket ring can
-// listen for every emulated nameserver address at once) and SendItem::from
-// (source-address override, so the proxy answers from the queried address
-// over that same single ring).
+// Both backends deliver whole receive batches and take whole send batches.
+// Two fields exist for the afpacket backend, which can express them per
+// datagram: RecvItem::to (the local address a datagram actually targeted —
+// one wildcard afpacket ring can listen for every emulated nameserver
+// address at once) and SendItem::from (source-address override, so the
+// proxy answers from the queried address over that same single ring). A
+// kernel socket reports to == local() and ignores from.
 #ifndef LDPLAYER_NET_DATAPATH_H
 #define LDPLAYER_NET_DATAPATH_H
 
@@ -28,7 +29,6 @@
 #include "common/ip.h"
 #include "common/result.h"
 #include "net/event_loop.h"
-#include "net/sockets.h"
 #include "stats/metrics.h"
 
 namespace ldp::net {
@@ -75,6 +75,16 @@ struct AfPacketOptions {
   std::string peer_mac;
 };
 
+struct UdpOptions {
+  // SO_REUSEPORT: lets several sockets bind the same address so the
+  // kernel shards incoming datagrams across them (one per worker).
+  bool reuse_port = false;
+  // SO_RCVBUF in bytes (0 = kernel default). High-rate servers raise this
+  // so bursts queue in the kernel instead of dropping while the worker is
+  // mid-batch.
+  int recv_buffer_bytes = 0;
+};
+
 struct DatapathOptions {
   DatapathKind kind = DatapathKind::kEpoll;
   // Kernel-socket options. The afpacket backend honors reuse_port for its
@@ -91,9 +101,9 @@ struct DatapathOptions {
 
 class DatagramPath {
  public:
-  // Datagrams moved per handler call / send chunk, matching UdpSocket so
-  // consumers keep their batch staging sizes.
-  static constexpr size_t kBatchSize = UdpSocket::kBatchSize;
+  // Datagrams moved per handler call and per send syscall or ring kick;
+  // consumers size their batch staging by it.
+  static constexpr size_t kBatchSize = 32;
 
   // One received datagram; payload is valid only during the handler call.
   struct RecvItem {

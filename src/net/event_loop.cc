@@ -12,6 +12,10 @@
 
 namespace ldp::net {
 
+Error Errno(const std::string& what, ErrorCode code) {
+  return Error(code, what + ": " + std::strerror(errno));
+}
+
 Fd& Fd::operator=(Fd&& other) noexcept {
   if (this != &other) {
     Reset();
@@ -45,22 +49,19 @@ bool TimerHandle::active() const {
 Result<std::unique_ptr<EventLoop>> EventLoop::Create() {
   int fd = ::epoll_create1(EPOLL_CLOEXEC);
   if (fd < 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("epoll_create1: ") + std::strerror(errno));
+    return Errno("epoll_create1");
   }
   int wakeup = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wakeup < 0) {
     ::close(fd);
-    return Error(ErrorCode::kIoError,
-                 std::string("eventfd: ") + std::strerror(errno));
+    return Errno("eventfd");
   }
   auto loop = std::unique_ptr<EventLoop>(new EventLoop(fd, wakeup));
   epoll_event event{};
   event.events = EPOLLIN;
   event.data.fd = wakeup;
   if (::epoll_ctl(fd, EPOLL_CTL_ADD, wakeup, &event) != 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("epoll_ctl ADD wakeup: ") + std::strerror(errno));
+    return Errno("epoll_ctl ADD wakeup");
   }
   return loop;
 }
@@ -73,8 +74,7 @@ Status EventLoop::Add(int fd, bool want_read, bool want_write,
   event.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   event.data.fd = fd;
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("epoll_ctl ADD: ") + std::strerror(errno));
+    return Errno("epoll_ctl ADD");
   }
   handlers_[fd] = std::make_shared<IoHandler>(std::move(handler));
   return Status::Ok();
@@ -85,8 +85,7 @@ Status EventLoop::Modify(int fd, bool want_read, bool want_write) {
   event.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   event.data.fd = fd;
   if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, fd, &event) != 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("epoll_ctl MOD: ") + std::strerror(errno));
+    return Errno("epoll_ctl MOD");
   }
   return Status::Ok();
 }
@@ -157,8 +156,7 @@ Status EventLoop::RunOnce(NanoDuration wait) {
 #endif
   if (count < 0) {
     if (errno == EINTR) return Status::Ok();
-    return Error(ErrorCode::kIoError,
-                 std::string("epoll_wait: ") + std::strerror(errno));
+    return Errno("epoll_wait");
   }
   if (epoll_batch_ != nullptr && count > 0) {
     epoll_batch_->Record(static_cast<uint64_t>(count));
@@ -208,8 +206,7 @@ void EventLoop::Run() {
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
+    return Errno("fcntl O_NONBLOCK");
   }
   return Status::Ok();
 }

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -38,6 +39,10 @@ class Fd {
  private:
   int fd_ = -1;
 };
+
+// A kIoError (or `code`) carrying `what` and strerror(errno): how every
+// failed syscall in net/ is reported.
+Error Errno(const std::string& what, ErrorCode code = ErrorCode::kIoError);
 
 // Bitmask passed to I/O handlers.
 struct IoEvents {

@@ -32,24 +32,16 @@ Result<Endpoint> LocalEndpoint(int fd) {
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    return Error(ErrorCode::kIoError,
-                 std::string("getsockname: ") + std::strerror(errno));
+    return Errno("getsockname");
   }
   return FromSockaddr(addr);
 }
 
-Error Errno(const char* what) {
-  return Error(ErrorCode::kIoError, std::string(what) + ": " +
-                                        std::strerror(errno));
-}
-
 }  // namespace
 
-// --- UdpSocket ---
+// --- UDP ---
 
-Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
-    EventLoop& loop, Endpoint local, const Options& options,
-    DatagramHandler on_datagram, BatchHandler on_batch) {
+Result<BoundUdp> BindUdp(Endpoint local, const UdpOptions& options) {
   Fd fd(::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
   if (!fd.valid()) return Errno("socket(UDP)");
 
@@ -69,14 +61,22 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
   sockaddr_in addr = ToSockaddr(local);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    return Errno(("bind " + local.ToString()).c_str());
+    return Errno("bind " + local.ToString());
   }
   LDP_ASSIGN_OR_RETURN(Endpoint bound, LocalEndpoint(fd.get()));
+  return BoundUdp{std::move(fd), bound};
+}
 
-  auto socket =
-      std::unique_ptr<UdpSocket>(new UdpSocket(loop, std::move(fd), bound));
-  socket->on_datagram_ = std::move(on_datagram);
-  socket->on_batch_ = std::move(on_batch);
+Result<std::unique_ptr<DatagramPath>> UdpSocket::Open(
+    EventLoop& loop, Endpoint local, BatchHandler on_batch,
+    const DatapathOptions& options) {
+  LDP_ASSIGN_OR_RETURN(BoundUdp bound, BindUdp(local, options.udp));
+  auto socket = std::unique_ptr<UdpSocket>(new UdpSocket(
+      loop, std::move(bound.fd), bound.local, std::move(on_batch)));
+  if (options.metrics != nullptr) {
+    socket->rx_frames_ = options.metrics->AddCounter("datapath.rx_frames");
+    socket->tx_frames_ = options.metrics->AddCounter("datapath.tx_frames");
+  }
   // for_overwrite: value-initializing these 2 MB costs ~1.2 ms of zeroing
   // per socket, which stalls an event loop that creates sockets on the hot
   // path (the relay binds one per flow); recvmmsg fills slots before any
@@ -87,20 +87,7 @@ Result<std::unique_ptr<UdpSocket>> UdpSocket::BindInternal(
   LDP_RETURN_IF_ERROR(loop.Add(raw->fd_.get(), /*want_read=*/true,
                                /*want_write=*/false,
                                [raw](IoEvents) { raw->OnReadable(); }));
-  return socket;
-}
-
-Result<std::unique_ptr<UdpSocket>> UdpSocket::Bind(EventLoop& loop,
-                                                   Endpoint local,
-                                                   DatagramHandler on_datagram,
-                                                   const Options& options) {
-  return BindInternal(loop, local, options, std::move(on_datagram), nullptr);
-}
-
-Result<std::unique_ptr<UdpSocket>> UdpSocket::BindBatch(
-    EventLoop& loop, Endpoint local, BatchHandler on_batch,
-    const Options& options) {
-  return BindInternal(loop, local, options, nullptr, std::move(on_batch));
+  return std::unique_ptr<DatagramPath>(std::move(socket));
 }
 
 UdpSocket::~UdpSocket() {
@@ -119,69 +106,20 @@ Status UdpSocket::SendTo(std::span<const uint8_t> payload, Endpoint to) {
     }
     return Errno("sendto");
   }
+  if (tx_frames_ != nullptr) tx_frames_->Add();
   return Status::Ok();
 }
 
-size_t UdpSocket::RecvBatch(std::span<RecvItem> out) {
-  size_t want = std::min(out.size(), kBatchSize);
-  if (want == 0) return 0;
-
-#if defined(__linux__)
-  mmsghdr msgs[kBatchSize];
-  iovec iovs[kBatchSize];
-  sockaddr_in addrs[kBatchSize];
-  std::memset(msgs, 0, sizeof(mmsghdr) * want);
-  for (size_t i = 0; i < want; ++i) {
-    iovs[i].iov_base = recv_slots_.get() + i * kRecvSlotSize;
-    iovs[i].iov_len = kRecvSlotSize;
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-    msgs[i].msg_hdr.msg_name = &addrs[i];
-    msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
-  }
-  int got = ::recvmmsg(fd_.get(), msgs, static_cast<unsigned>(want), 0,
-                       nullptr);
-  if (got > 0) {
-    for (int i = 0; i < got; ++i) {
-      out[static_cast<size_t>(i)] = RecvItem{
-          std::span<const uint8_t>(
-              recv_slots_.get() + static_cast<size_t>(i) * kRecvSlotSize,
-              msgs[i].msg_len),
-          FromSockaddr(addrs[i])};
-    }
-    return static_cast<size_t>(got);
-  }
-  if (got < 0 && errno != ENOSYS) return 0;  // EAGAIN or error
-#endif
-
-  // Portable fallback: one recvfrom per datagram into the same slots.
-  size_t count = 0;
-  while (count < want) {
-    sockaddr_in from{};
-    socklen_t from_len = sizeof(from);
-    uint8_t* slot = recv_slots_.get() + count * kRecvSlotSize;
-    ssize_t n = ::recvfrom(fd_.get(), slot, kRecvSlotSize, 0,
-                           reinterpret_cast<sockaddr*>(&from), &from_len);
-    if (n < 0) break;  // EAGAIN or error: stop draining
-    out[count] = RecvItem{
-        std::span<const uint8_t>(slot, static_cast<size_t>(n)),
-        FromSockaddr(from)};
-    ++count;
-  }
-  return count;
-}
-
-size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
+size_t UdpSocket::SendBatch(std::span<const SendItem> batch) {
   size_t accepted = 0;
-#if defined(__linux__)
   while (accepted < batch.size()) {
-    size_t chunk = std::min(batch.size() - accepted, kBatchSize);
+    const size_t chunk = std::min(batch.size() - accepted, kBatchSize);
     mmsghdr msgs[kBatchSize];
     iovec iovs[kBatchSize];
     sockaddr_in addrs[kBatchSize];
     std::memset(msgs, 0, sizeof(mmsghdr) * chunk);
     for (size_t i = 0; i < chunk; ++i) {
-      const UdpSendItem& item = batch[accepted + i];
+      const SendItem& item = batch[accepted + i];
       iovs[i].iov_base = const_cast<uint8_t*>(item.payload.data());
       iovs[i].iov_len = item.payload.size();
       addrs[i] = ToSockaddr(item.to);
@@ -190,23 +128,15 @@ size_t UdpSocket::SendBatch(std::span<const UdpSendItem> batch) {
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
     }
-    int sent = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(chunk), 0);
-    if (sent < 0) {
-      if (errno == ENOSYS) break;  // fall through to the sendto loop
-      // EAGAIN: send buffer full — remaining datagrams are dropped, as
-      // they would be on the wire.
-      return accepted;
-    }
+    // EAGAIN: send buffer full — the remaining datagrams are dropped, as
+    // they would be on the wire.
+    const int sent =
+        ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(chunk), 0);
+    if (sent < 0) break;
     accepted += static_cast<size_t>(sent);
-    if (static_cast<size_t>(sent) < chunk) return accepted;  // buffer full
+    if (static_cast<size_t>(sent) < chunk) break;
   }
-  if (accepted == batch.size()) return accepted;
-#endif
-
-  for (size_t i = accepted; i < batch.size(); ++i) {
-    if (!SendTo(batch[i].payload, batch[i].to).ok()) return accepted;
-    ++accepted;
-  }
+  if (tx_frames_ != nullptr) tx_frames_->Add(accepted);
   return accepted;
 }
 
@@ -218,20 +148,35 @@ void UdpSocket::OnReadable() {
   // a recvmmsg that only returns EAGAIN. Anything that arrives later keeps
   // the socket readable, so epoll reports it again.
   constexpr size_t kMaxPerEvent = 8 * kBatchSize;
+  mmsghdr msgs[kBatchSize];
+  iovec iovs[kBatchSize];
+  sockaddr_in addrs[kBatchSize];
   RecvItem items[kBatchSize];
+  std::memset(msgs, 0, sizeof(msgs));
+  for (size_t i = 0; i < kBatchSize; ++i) {
+    iovs[i].iov_base = recv_slots_.get() + i * kRecvSlotSize;
+    iovs[i].iov_len = kRecvSlotSize;
+    msgs[i].msg_hdr.msg_iov = &iovs[i];
+    msgs[i].msg_hdr.msg_iovlen = 1;
+    msgs[i].msg_hdr.msg_name = &addrs[i];
+  }
   size_t total = 0;
   while (total < kMaxPerEvent) {
-    size_t got = RecvBatch(items);
-    if (got == 0) return;
-    total += got;
-    if (on_batch_) {
-      on_batch_(std::span<const RecvItem>(items, got));
-    } else if (on_datagram_) {
-      for (size_t i = 0; i < got; ++i) {
-        on_datagram_(items[i].payload, items[i].from);
-      }
+    for (auto& msg : msgs) msg.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    // An error (EAGAIN or otherwise) reads nothing.
+    const int got = ::recvmmsg(fd_.get(), msgs, kBatchSize, 0, nullptr);
+    if (got <= 0) return;
+    const auto n = static_cast<size_t>(got);
+    for (size_t i = 0; i < n; ++i) {
+      items[i] = RecvItem{std::span<const uint8_t>(
+                              recv_slots_.get() + i * kRecvSlotSize,
+                              msgs[i].msg_len),
+                          FromSockaddr(addrs[i]), local_};
     }
-    if (got < kBatchSize) return;
+    total += n;
+    if (rx_frames_ != nullptr) rx_frames_->Add(n);
+    on_batch_(std::span<const RecvItem>(items, n));
+    if (n < kBatchSize) return;
   }
 }
 
@@ -255,7 +200,7 @@ Result<std::unique_ptr<TcpConnection>> TcpConnection::Connect(
     sockaddr_in local = ToSockaddr(options.local);
     if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&local),
                sizeof(local)) != 0) {
-      return Errno(("bind " + options.local.ToString()).c_str());
+      return Errno("bind " + options.local.ToString());
     }
   }
 
@@ -263,7 +208,7 @@ Result<std::unique_ptr<TcpConnection>> TcpConnection::Connect(
   int rc = ::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                      sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
-    return Errno(("connect " + remote.ToString()).c_str());
+    return Errno("connect " + remote.ToString());
   }
 
   auto conn =
@@ -474,7 +419,7 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Listen(
   sockaddr_in addr = ToSockaddr(local);
   if (::bind(fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    return Errno(("bind " + local.ToString()).c_str());
+    return Errno("bind " + local.ToString());
   }
   // 4096: a mass-connection ramp (the fig13-15 bench opens tens of
   // thousands of connections in seconds) overflows the old 1024 backlog on

@@ -11,96 +11,63 @@
 #include "common/bytes.h"
 #include "common/ip.h"
 #include "common/result.h"
+#include "net/datapath.h"
 #include "net/event_loop.h"
 
 namespace ldp::net {
 
 // --- UDP ---
 
-// One datagram of an outgoing batch; the payload must stay alive through
-// the SendBatch call.
-struct UdpSendItem {
-  std::span<const uint8_t> payload;
-  Endpoint to;
-};
-
-struct UdpOptions {
-  // SO_REUSEPORT: lets several sockets bind the same address so the
-  // kernel shards incoming datagrams across them (one per worker).
-  bool reuse_port = false;
-  // SO_RCVBUF in bytes (0 = kernel default). High-rate servers raise this
-  // so bursts queue in the kernel instead of dropping while the worker is
-  // mid-batch.
-  int recv_buffer_bytes = 0;
-};
-
-class UdpSocket {
+// The epoll backend of DatagramPath: one kernel UDP socket, drained with
+// recvmmsg and written with sendmmsg in kBatchSize chunks. Received items
+// carry to == local(); SendItem::from is ignored (the binding is the
+// source). DatagramPath::Open(kEpoll) is the only way to make one.
+class UdpSocket final : public DatagramPath {
  public:
-  // Datagrams moved per recvmmsg/sendmmsg syscall. Received payloads live
-  // in per-socket slots of kRecvSlotSize bytes (the UDP maximum, so jumbo
-  // loopback datagrams are never clipped).
-  static constexpr size_t kBatchSize = 32;
-  static constexpr size_t kRecvSlotSize = 65536;
+  ~UdpSocket() override;
 
-  // One received datagram of a batch; the payload points into the socket's
-  // receive slots and is valid only until the next RecvBatch call.
-  struct RecvItem {
-    std::span<const uint8_t> payload;
-    Endpoint from;
-  };
-
-  using DatagramHandler =
-      std::function<void(std::span<const uint8_t>, Endpoint from)>;
-  using BatchHandler = std::function<void(std::span<const RecvItem>)>;
-
-  using Options = UdpOptions;
-
-  // Binds to `local` (port 0 = ephemeral) and registers with the loop.
-  static Result<std::unique_ptr<UdpSocket>> Bind(EventLoop& loop,
-                                                 Endpoint local,
-                                                 DatagramHandler on_datagram,
-                                                 const Options& options = Options());
-
-  // Like Bind, but readiness delivers whole received batches: one handler
-  // call per recvmmsg, so the callee can amortize its own work (and its
-  // reply syscalls) across the batch.
-  static Result<std::unique_ptr<UdpSocket>> BindBatch(
-      EventLoop& loop, Endpoint local, BatchHandler on_batch,
-      const Options& options = Options());
-
-  ~UdpSocket();
-
-  Status SendTo(std::span<const uint8_t> payload, Endpoint to);
-
-  // Receives up to min(out.size(), kBatchSize) datagrams with one recvmmsg
-  // (portable fallback: recvfrom loop). Returns the number received; 0 on
-  // EAGAIN. Payload spans are valid until the next RecvBatch call.
-  size_t RecvBatch(std::span<RecvItem> out);
-
-  // Sends the whole batch via sendmmsg in kBatchSize chunks (portable
-  // fallback: sendto loop). Returns how many datagrams the kernel accepted;
-  // a short count means the send buffer filled and the rest were dropped,
-  // as they would be on the wire.
-  size_t SendBatch(std::span<const UdpSendItem> batch);
-
-  Endpoint local() const { return local_; }
+  Status SendTo(std::span<const uint8_t> payload, Endpoint to) override;
+  size_t SendBatch(std::span<const SendItem> batch) override;
+  Endpoint local() const override { return local_; }
+  DatapathKind kind() const override { return DatapathKind::kEpoll; }
 
  private:
-  UdpSocket(EventLoop& loop, Fd fd, Endpoint local)
-      : loop_(loop), fd_(std::move(fd)), local_(local) {}
-  static Result<std::unique_ptr<UdpSocket>> BindInternal(
-      EventLoop& loop, Endpoint local, const Options& options,
-      DatagramHandler on_datagram, BatchHandler on_batch);
+  // Received payloads live in per-socket slots of kRecvSlotSize bytes (the
+  // UDP maximum, so jumbo loopback datagrams are never clipped).
+  static constexpr size_t kRecvSlotSize = 65536;
+
+  friend class DatagramPath;
+  static Result<std::unique_ptr<DatagramPath>> Open(
+      EventLoop& loop, Endpoint local, BatchHandler on_batch,
+      const DatapathOptions& options);
+  UdpSocket(EventLoop& loop, Fd fd, Endpoint local, BatchHandler on_batch)
+      : loop_(loop),
+        fd_(std::move(fd)),
+        local_(local),
+        on_batch_(std::move(on_batch)) {}
   void OnReadable();
 
   EventLoop& loop_;
   Fd fd_;
   Endpoint local_;
-  DatagramHandler on_datagram_;  // per-datagram mode
-  BatchHandler on_batch_;        // batch mode (exactly one mode is set)
+  BatchHandler on_batch_;
   // Receive slots, allocated once at bind: kBatchSize * kRecvSlotSize.
   std::unique_ptr<uint8_t[]> recv_slots_;
+  // datapath.rx_frames / tx_frames; null without a registry.
+  stats::Counter* rx_frames_ = nullptr;
+  stats::Counter* tx_frames_ = nullptr;
 };
+
+// A kernel UDP socket bound by BindUdp, with the address it got.
+struct BoundUdp {
+  Fd fd;
+  Endpoint local;
+};
+
+// socket, SO_REUSEPORT, SO_RCVBUF, bind, getsockname: the one kernel UDP
+// bind, shared by UdpSocket and the afpacket backend's shadow socket.
+// Port 0 binds an ephemeral port; BoundUdp::local says which.
+Result<BoundUdp> BindUdp(Endpoint local, const UdpOptions& options);
 
 // --- TCP ---
 

@@ -110,6 +110,7 @@ void RegisterRelayMetrics(stats::MetricsRegistry* metrics,
 }
 
 constexpr size_t kDnsHeaderBytes = 12;
+constexpr int kEphemeralBindRetries = 8;
 
 NanoDuration RelayTickFor(const RelayConfig& config) {
   NanoDuration shortest =
@@ -128,7 +129,7 @@ struct HierarchyProxy::Shard {
   struct Flow {
     uint64_t id = 0;
     FlowKey key;
-    std::unique_ptr<net::UdpSocket> sock;
+    std::unique_ptr<net::DatagramPath> sock;
     bool draining = false;
     size_t site = 0;  // catchment assignment, fixed for the flow's life
     std::list<uint64_t>::iterator lru_it;
@@ -192,6 +193,48 @@ struct HierarchyProxy::Shard {
   stats::LogHistogram* rewrite_ns = nullptr;
   stats::LogHistogram* udp_batch = nullptr;
 
+  // Binds the UDP listeners on `port` (one per emulated address on epoll,
+  // one wildcard ring on afpacket) and, with `splice_tcp`, a TCP listener
+  // per address. Port 0 takes the first listener's ephemeral port. Safe to
+  // call again after a failure: it first drops what the last call bound.
+  Status Bind(uint16_t port, const net::DatapathOptions& dp_options,
+              bool splice_tcp) {
+    listeners.clear();
+    listener_by_addr.clear();
+    tcp_listeners.clear();
+    auto handler = [this](std::span<const net::DatagramPath::RecvItem> items) {
+      OnIngressBatch(items);
+    };
+    // Afpacket: one wildcard ring carries every emulated address (the
+    // steering filter matches the service port alone and OnIngressBatch
+    // reads the OQDA from each frame). Epoll: one socket per address.
+    const bool wildcard = config.datapath == net::DatapathKind::kAfPacket;
+    for (IpAddress address : config.addresses) {
+      if (!wildcard || listeners.empty()) {
+        LDP_ASSIGN_OR_RETURN(
+            auto listener,
+            net::DatagramPath::Open(
+                *loop, Endpoint{wildcard ? IpAddress() : address, port},
+                handler, dp_options));
+        port = listener->local().port;
+        listeners.push_back(std::move(listener));
+      }
+      listener_by_addr[address] = listeners.back().get();
+    }
+    if (!splice_tcp) return Status::Ok();
+    for (IpAddress address : config.addresses) {
+      LDP_ASSIGN_OR_RETURN(
+          auto listener,
+          net::TcpListener::Listen(
+              *loop, Endpoint{address, port},
+              [this](std::unique_ptr<net::TcpConnection> conn) {
+                OnTcpAccept(std::move(conn));
+              }));
+      tcp_listeners.push_back(std::move(listener));
+    }
+    return Status::Ok();
+  }
+
   // --- flow table ---
 
   void Touch(Flow& flow) {
@@ -229,13 +272,13 @@ struct HierarchyProxy::Shard {
     // original source port (paper §2.4, "ports pass through untouched").
     // A collision (e.g. two clients sharing a port across evict/re-create,
     // or the service port itself) falls back to an ephemeral port.
-    auto handler = [this, id](std::span<const net::UdpSocket::RecvItem>
+    auto handler = [this, id](std::span<const net::DatagramPath::RecvItem>
                                   items) { OnRelayBatch(id, items); };
-    auto sock = net::UdpSocket::BindBatch(
+    auto sock = net::DatagramPath::Open(
         *loop, Endpoint{oqda, client.port}, handler);
     if (!sock.ok()) {
       counters->port_fallbacks.Add();
-      sock = net::UdpSocket::BindBatch(*loop, Endpoint{oqda, 0}, handler);
+      sock = net::DatagramPath::Open(*loop, Endpoint{oqda, 0}, handler);
       if (!sock.ok()) {
         LDP_DEBUG << "relay bind failed: " << sock.error().ToString();
         return nullptr;
@@ -331,7 +374,7 @@ struct HierarchyProxy::Shard {
   // rewrite (src := OQDA, dst := client) is realized by answering from
   // the listener bound to the OQDA.
   void OnRelayBatch(uint64_t flow_id,
-                    std::span<const net::UdpSocket::RecvItem> items) {
+                    std::span<const net::DatagramPath::RecvItem> items) {
     auto it = flows.find(flow_id);
     if (it == flows.end()) return;
     Flow& flow = it->second;
@@ -655,48 +698,21 @@ Result<std::unique_ptr<HierarchyProxy>> HierarchyProxy::Start(
         config.datapath == net::DatapathKind::kAfPacket && n_shards > 1;
     dp_options.metrics = config.metrics;
 
-    Shard* raw = shard.get();
-    auto handler = [raw](std::span<const net::DatagramPath::RecvItem> items) {
-      raw->OnIngressBatch(items);
-    };
-    if (config.datapath == net::DatapathKind::kAfPacket) {
-      // One wildcard ring carries every emulated address: the steering
-      // filter matches the service port alone and OnIngressBatch reads
-      // the OQDA from each frame.
-      auto listener = net::DatagramPath::Open(
-          *shard->loop, Endpoint{IpAddress(), port}, handler, dp_options);
-      if (!listener.ok()) return listener.error();
-      if (port == 0) port = (*listener)->local().port;  // resolve once
-      for (IpAddress address : config.addresses) {
-        shard->listener_by_addr[address] = listener->get();
-      }
-      shard->listeners.push_back(std::move(*listener));
-    } else {
-      for (IpAddress address : config.addresses) {
-        auto listener = net::DatagramPath::Open(
-            *shard->loop, Endpoint{address, port}, handler, dp_options);
-        if (!listener.ok()) return listener.error();
-        if (port == 0) port = (*listener)->local().port;  // resolve once
-        shard->listener_by_addr[address] = listener->get();
-        shard->listeners.push_back(std::move(*listener));
-      }
-    }
-
     // TCP splice on shard 0 only: the splice needs correctness, not
     // multi-core throughput (unlike ShardedDnsServer's stream lane, which
     // binds a SO_REUSEPORT listener on every shard).
-    if (i == 0 && config.splice_tcp) {
-      for (IpAddress address : config.addresses) {
-        Shard* raw = shard.get();
-        auto listener = net::TcpListener::Listen(
-            *shard->loop, Endpoint{address, port},
-            [raw](std::unique_ptr<net::TcpConnection> conn) {
-              raw->OnTcpAccept(std::move(conn));
-            });
-        if (!listener.ok()) return listener.error();
-        shard->tcp_listeners.push_back(std::move(*listener));
-      }
+    const bool splice_tcp = i == 0 && config.splice_tcp;
+    Status bound = shard->Bind(port, dp_options, splice_tcp);
+    // Port 0: the first UDP listener picks the number and every other
+    // listener must then take the same one, which a live socket may
+    // already hold. Try a fresh ephemeral port a bounded number of times.
+    for (int retry = 0; !bound.ok() && port == 0 &&
+                        retry < kEphemeralBindRetries;
+         ++retry) {
+      bound = shard->Bind(port, dp_options, splice_tcp);
     }
+    LDP_RETURN_IF_ERROR(bound);
+    port = shard->listeners.front()->local().port;  // resolve once
     proxy->shards_.push_back(std::move(shard));
   }
   proxy->port_ = port;

@@ -6,8 +6,8 @@
 #include <memory>
 
 #include "dns/message.h"
+#include "net/datapath.h"
 #include "net/event_loop.h"
-#include "net/sockets.h"
 
 namespace ldp::scenario {
 
@@ -87,15 +87,16 @@ Result<SpoofedFloodReport> RunSpoofedFlood(const SpoofedFloodConfig& config) {
   LDP_ASSIGN_OR_RETURN(loop, net::EventLoop::Create());
 
   SpoofedFloodReport report;
-  auto on_reply = [&report](std::span<const uint8_t>, Endpoint) {
-    ++report.replies;
+  auto on_replies = [&report](std::span<const net::DatagramPath::RecvItem>
+                                  replies) {
+    report.replies += replies.size();
   };
 
-  std::vector<std::unique_ptr<net::UdpSocket>> socks(config.n_sockets);
+  std::vector<std::unique_ptr<net::DatagramPath>> socks(config.n_sockets);
   std::vector<size_t> sends_on(config.n_sockets, 0);
   auto open = [&](size_t i) {
-    auto sock = net::UdpSocket::Bind(
-        *loop, Endpoint{IpAddress::Loopback(), 0}, on_reply);
+    auto sock = net::DatagramPath::Open(
+        *loop, Endpoint{IpAddress::Loopback(), 0}, on_replies);
     if (!sock.ok()) return false;
     socks[i] = std::move(*sock);
     sends_on[i] = 0;
@@ -104,7 +105,8 @@ Result<SpoofedFloodReport> RunSpoofedFlood(const SpoofedFloodConfig& config) {
   };
 
   constexpr NanoDuration kTick = Millis(1);
-  const NanoTime deadline = MonotonicNow() + config.duration;
+  NanoTime last_tick = MonotonicNow();
+  const NanoTime deadline = last_tick + config.duration;
   double carry = 0;
   size_t cursor = 0;
   bool stopping = false;
@@ -119,7 +121,10 @@ Result<SpoofedFloodReport> RunSpoofedFlood(const SpoofedFloodConfig& config) {
       }
       return;
     }
-    carry += config.rate_qps * ToSeconds(kTick);
+    // Credit the time that really passed, not one kTick: a late timer
+    // then sends the backlog instead of under-delivering rate_qps.
+    carry += config.rate_qps * ToSeconds(now - last_tick);
+    last_tick = now;
     auto burst = static_cast<size_t>(carry);
     carry -= static_cast<double>(burst);
     for (size_t n = 0; n < burst; ++n) {

@@ -95,6 +95,8 @@ void RegisterTcpMetrics(stats::MetricsRegistry* metrics,
   }
 }
 
+constexpr int kEphemeralBindRetries = 8;
+
 }  // namespace
 
 // One worker: an EventLoop run by its own thread, a private engine, and the
@@ -441,7 +443,16 @@ Result<std::unique_ptr<ShardedDnsServer>> ShardedDnsServer::Start(
     LDP_ASSIGN_OR_RETURN(auto loop, net::EventLoop::Create());
     auto shard = std::make_unique<Shard>(config, std::move(loop), views,
                                          sharded->tls_ctx_.get());
-    LDP_RETURN_IF_ERROR(shard->Bind(listen, tls_port, n_shards > 1));
+    Status bound = shard->Bind(listen, tls_port, n_shards > 1);
+    // Port 0: UDP picks the number and TCP must then take the same one,
+    // which a live TCP socket may already hold. Try a fresh ephemeral
+    // port a bounded number of times before giving up.
+    for (int retry = 0; !bound.ok() && listen.port == 0 &&
+                        retry < kEphemeralBindRetries;
+         ++retry) {
+      bound = shard->Bind(listen, tls_port, n_shards > 1);
+    }
+    LDP_RETURN_IF_ERROR(bound);
     if (i == 0) {
       // Shard 0 resolves port 0; the rest bind the concrete ports so
       // SO_REUSEPORT groups them onto the same addresses.

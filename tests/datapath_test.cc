@@ -17,6 +17,7 @@
 #include "net/event_loop.h"
 #include "replay/realtime.h"
 #include "server/sharded_server.h"
+#include "stats/metrics.h"
 #include "workload/traces.h"
 #include "zone/masterfile.h"
 
@@ -100,6 +101,56 @@ void RoundTrip(DatapathKind kind) {
 }
 
 TEST(DatapathTest, EpollRoundTrip) { RoundTrip(DatapathKind::kEpoll); }
+
+// The epoll backend counts the datagrams it moves: a path with a registry
+// sends N (through both send calls) to an echo peer without one and hears
+// N echoes, so datapath.tx_frames and datapath.rx_frames each read N.
+TEST(DatapathTest, EpollCountsFramesEachWay) {
+  constexpr size_t kFrames = 40;  // the SendBatch part spans two chunks
+  constexpr size_t kBatched = 34;
+  auto loop = EventLoop::Create();
+  ASSERT_TRUE(loop.ok());
+
+  std::unique_ptr<DatagramPath> echo;
+  auto echo_result = DatagramPath::Open(
+      **loop, Endpoint{IpAddress::Loopback(), 0},
+      [&](std::span<const DatagramPath::RecvItem> batch) {
+        for (const auto& item : batch) {
+          EXPECT_TRUE(echo->SendTo(item.payload, item.from).ok());
+        }
+      });
+  ASSERT_TRUE(echo_result.ok()) << echo_result.error().ToString();
+  echo = std::move(*echo_result);
+
+  stats::MetricsRegistry metrics;
+  DatapathOptions options;
+  options.metrics = &metrics;
+  size_t echoed = 0;
+  auto path_result = DatagramPath::Open(
+      **loop, Endpoint{IpAddress::Loopback(), 0},
+      [&](std::span<const DatagramPath::RecvItem> batch) {
+        echoed += batch.size();
+        if (echoed == kFrames) (*loop)->Stop();
+      },
+      options);
+  ASSERT_TRUE(path_result.ok()) << path_result.error().ToString();
+  auto path = std::move(*path_result);
+
+  const Bytes payload = {'n'};
+  std::vector<DatagramPath::SendItem> items(
+      kBatched, DatagramPath::SendItem{payload, echo->local(), {}});
+  ASSERT_EQ(path->SendBatch(items), kBatched);
+  for (size_t i = kBatched; i < kFrames; ++i) {
+    ASSERT_TRUE(path->SendTo(payload, echo->local()).ok());
+  }
+  (*loop)->ScheduleAfter(Seconds(2), [&] { (*loop)->Stop(); });  // safety
+  (*loop)->Run();
+
+  ASSERT_EQ(echoed, kFrames);
+  const stats::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.CounterValue("datapath.tx_frames"), kFrames);
+  EXPECT_EQ(snapshot.CounterValue("datapath.rx_frames"), kFrames);
+}
 
 TEST(DatapathTest, AfPacketRoundTrip) {
   if (auto probe = ProbeAfPacket({}); !probe.ok()) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dns/framing.h"
+#include "net/datapath.h"
 #include "net/event_loop.h"
 #include "net/sockets.h"
 
@@ -67,10 +68,10 @@ TEST(EventLoop, ZeroDelayRearmDoesNotStarveIo) {
   };
   (*loop)->ScheduleAfter(0, pump);
 
-  std::unique_ptr<UdpSocket> receiver;
-  auto receiver_result = UdpSocket::Bind(
+  std::unique_ptr<DatagramPath> receiver;
+  auto receiver_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const uint8_t>, Endpoint) {
+      [&](std::span<const DatagramPath::RecvItem>) {
         received = true;
         (*loop)->Stop();
       });
@@ -78,8 +79,8 @@ TEST(EventLoop, ZeroDelayRearmDoesNotStarveIo) {
   receiver = std::move(*receiver_result);
 
   auto sender_result =
-      UdpSocket::Bind(**loop, Endpoint{IpAddress::Loopback(), 0},
-                      [](std::span<const uint8_t>, Endpoint) {});
+      DatagramPath::Open(**loop, Endpoint{IpAddress::Loopback(), 0},
+                         [](std::span<const DatagramPath::RecvItem>) {});
   ASSERT_TRUE(sender_result.ok());
   auto sender = std::move(*sender_result);
   Bytes ping{1};
@@ -96,22 +97,24 @@ TEST(UdpSockets, EchoOverLoopback) {
   ASSERT_TRUE(loop.ok());
 
   // Server: echoes back.
-  std::unique_ptr<UdpSocket> server;
-  auto server_result = UdpSocket::Bind(
+  std::unique_ptr<DatagramPath> server;
+  auto server_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&server](std::span<const uint8_t> payload, Endpoint from) {
-        auto status = server->SendTo(payload, from);
-        EXPECT_TRUE(status.ok());
+      [&server](std::span<const DatagramPath::RecvItem> batch) {
+        for (const auto& item : batch) {
+          auto status = server->SendTo(item.payload, item.from);
+          EXPECT_TRUE(status.ok());
+        }
       });
   ASSERT_TRUE(server_result.ok()) << server_result.error().ToString();
   server = std::move(*server_result);
   ASSERT_NE(server->local().port, 0);
 
   Bytes received;
-  auto client_result = UdpSocket::Bind(
+  auto client_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const uint8_t> payload, Endpoint) {
-        received.assign(payload.begin(), payload.end());
+      [&](std::span<const DatagramPath::RecvItem> batch) {
+        received.assign(batch[0].payload.begin(), batch[0].payload.end());
         (*loop)->Stop();
       });
   ASSERT_TRUE(client_result.ok());
@@ -377,13 +380,13 @@ TEST(UdpSockets, BatchSendAndBatchReceive) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
-  // Receiver in batch mode: whole recvmmsg batches per handler call.
+  // Receiver: whole recvmmsg batches per handler call.
   std::vector<Bytes> got;
   size_t handler_calls = 0;
-  std::unique_ptr<UdpSocket> receiver;
-  auto receiver_result = UdpSocket::BindBatch(
+  std::unique_ptr<DatagramPath> receiver;
+  auto receiver_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const UdpSocket::RecvItem> batch) {
+      [&](std::span<const DatagramPath::RecvItem> batch) {
         ++handler_calls;
         for (const auto& item : batch) {
           got.emplace_back(item.payload.begin(), item.payload.end());
@@ -394,8 +397,8 @@ TEST(UdpSockets, BatchSendAndBatchReceive) {
   receiver = std::move(*receiver_result);
 
   auto sender_result =
-      UdpSocket::Bind(**loop, Endpoint{IpAddress::Loopback(), 0},
-                      [](std::span<const uint8_t>, Endpoint) {});
+      DatagramPath::Open(**loop, Endpoint{IpAddress::Loopback(), 0},
+                         [](std::span<const DatagramPath::RecvItem>) {});
   ASSERT_TRUE(sender_result.ok());
   auto sender = std::move(*sender_result);
 
@@ -403,9 +406,9 @@ TEST(UdpSockets, BatchSendAndBatchReceive) {
   // is 32) and two recvmmsg batches on the way in.
   std::vector<Bytes> payloads;
   for (uint8_t i = 0; i < 50; ++i) payloads.push_back(Bytes{i, i, i});
-  std::vector<UdpSendItem> items;
+  std::vector<DatagramPath::SendItem> items;
   for (const Bytes& p : payloads) {
-    items.push_back(UdpSendItem{p, receiver->local()});
+    items.push_back(DatagramPath::SendItem{p, receiver->local(), {}});
   }
   EXPECT_EQ(sender->SendBatch(items), items.size());
 
@@ -421,17 +424,17 @@ TEST(UdpSockets, ShortBatchEndsTheWakeupWithoutLosingLaterDatagrams) {
   ASSERT_TRUE(loop.ok());
 
   auto sender_result =
-      UdpSocket::Bind(**loop, Endpoint{IpAddress::Loopback(), 0},
-                      [](std::span<const uint8_t>, Endpoint) {});
+      DatagramPath::Open(**loop, Endpoint{IpAddress::Loopback(), 0},
+                         [](std::span<const DatagramPath::RecvItem>) {});
   ASSERT_TRUE(sender_result.ok());
   auto sender = std::move(*sender_result);
 
   std::vector<Bytes> got;
   std::vector<size_t> batch_sizes;
-  std::unique_ptr<UdpSocket> receiver;
-  auto receiver_result = UdpSocket::BindBatch(
+  std::unique_ptr<DatagramPath> receiver;
+  auto receiver_result = DatagramPath::Open(
       **loop, Endpoint{IpAddress::Loopback(), 0},
-      [&](std::span<const UdpSocket::RecvItem> batch) {
+      [&](std::span<const DatagramPath::RecvItem> batch) {
         batch_sizes.push_back(batch.size());
         for (const auto& item : batch) {
           got.emplace_back(item.payload.begin(), item.payload.end());
@@ -465,23 +468,21 @@ TEST(UdpSockets, ReusePortSharesAnAddress) {
   auto loop = EventLoop::Create();
   ASSERT_TRUE(loop.ok());
 
-  UdpSocket::Options options;
-  options.reuse_port = true;
-  options.recv_buffer_bytes = 1 << 20;
-  auto first =
-      UdpSocket::Bind(**loop, Endpoint{IpAddress::Loopback(), 0},
-                      [](std::span<const uint8_t>, Endpoint) {}, options);
+  DatapathOptions options;
+  options.udp.reuse_port = true;
+  options.udp.recv_buffer_bytes = 1 << 20;
+  auto ignore = [](std::span<const DatagramPath::RecvItem>) {};
+  auto first = DatagramPath::Open(
+      **loop, Endpoint{IpAddress::Loopback(), 0}, ignore, options);
   ASSERT_TRUE(first.ok());
   Endpoint shared = (*first)->local();
 
   // Second bind to the same concrete port succeeds only via SO_REUSEPORT.
-  auto second = UdpSocket::Bind(
-      **loop, shared, [](std::span<const uint8_t>, Endpoint) {}, options);
+  auto second = DatagramPath::Open(**loop, shared, ignore, options);
   EXPECT_TRUE(second.ok()) << (second.ok() ? "" : second.error().ToString());
 
   // Without the option the same bind must fail.
-  auto third = UdpSocket::Bind(**loop, shared,
-                               [](std::span<const uint8_t>, Endpoint) {});
+  auto third = DatagramPath::Open(**loop, shared, ignore);
   EXPECT_FALSE(third.ok());
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "dns/framing.h"
 #include "dns/message.h"
@@ -310,6 +311,40 @@ TEST(HierarchyProxyTest, TcpSpliceRewriteRoundTrip) {
   EXPECT_EQ(stats.tcp_responses, 1u);
   (*relay)->Stop();
   (*meta)->Stop();
+}
+
+// Port 0: the UDP listener picks the service port and the splice's TCP
+// listener must take the same number. With ~500 TCP listeners holding
+// ephemeral numbers on the emulated address, every one of 400 starts must
+// still succeed.
+TEST(HierarchyProxyTest, EphemeralPortSurvivesTcpPortCollisions) {
+  std::vector<int> held;
+  for (int i = 0; i < 500; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr = SockAddr(kNsA, 0);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(fd, 1), 0);
+    held.push_back(fd);
+  }
+
+  RelayConfig config;
+  config.addresses = {kNsA};
+  config.meta_server = Endpoint{IpAddress::Loopback(), 53};  // never dialed
+  config.splice_tcp = true;
+  int failed = 0;
+  for (int i = 0; i < 400; ++i) {
+    auto relay = HierarchyProxy::Start(config);
+    if (!relay.ok()) {
+      ++failed;
+      ADD_FAILURE() << "start " << i << ": " << relay.error().ToString();
+      continue;
+    }
+    (*relay)->Stop();
+  }
+  for (int fd : held) ::close(fd);
+  EXPECT_EQ(failed, 0);
 }
 
 TEST(HierarchyProxyTest, LruEvictionDropsAndCountsLateReplies) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "server/sharded_server.h"
 #include "stats/metrics.h"
@@ -266,6 +267,42 @@ TEST(ShardedServer, SingleShardServesTcpAndUdp) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->rcode, dns::Rcode::kNoError);
   EXPECT_EQ((*server)->TotalStats().queries, 1u);
+}
+
+// Port 0 hands UDP an ephemeral number that TCP must then take too. With
+// ~500 TCP listeners holding ephemeral numbers on the same address, some
+// of 400 starts draw a taken one; every start must still succeed.
+TEST(ShardedServerTest, EphemeralPortSurvivesTcpPortCollisions) {
+  std::vector<int> held;
+  for (int i = 0; i < 500; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(fd, 1), 0);
+    held.push_back(fd);
+  }
+
+  auto views = MakeViews();
+  ShardedDnsServer::Config config;
+  config.listen = Endpoint{IpAddress::Loopback(), 0};
+  config.n_shards = 1;
+  config.serve_tcp = true;
+  int failed = 0;
+  for (int i = 0; i < 400; ++i) {
+    auto server = ShardedDnsServer::Start(views, config);
+    if (!server.ok()) {
+      ++failed;
+      ADD_FAILURE() << "start " << i << ": " << server.error().ToString();
+      continue;
+    }
+    (*server)->Stop();
+  }
+  for (int fd : held) ::close(fd);
+  EXPECT_EQ(failed, 0);
 }
 
 // The registry-backed counters are polled from the engine and the stream

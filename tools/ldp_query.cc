@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     (*loop)->Stop();
   };
 
-  std::unique_ptr<net::UdpSocket> udp;
+  std::unique_ptr<net::DatagramPath> udp;
   std::unique_ptr<net::TcpConnection> tcp;
   if (flags.GetBool("tcp", false)) {
     auto assembler = std::make_shared<dns::StreamAssembler>();
@@ -127,10 +127,10 @@ int main(int argc, char** argv) {
     }
     tcp = std::move(*conn);
   } else {
-    auto socket = net::UdpSocket::Bind(
+    auto socket = net::DatagramPath::Open(
         **loop, Endpoint{IpAddress::Loopback(), 0},
-        [&](std::span<const uint8_t> payload, Endpoint) {
-          handle_wire(payload);
+        [&](std::span<const net::DatagramPath::RecvItem> replies) {
+          for (const auto& reply : replies) handle_wire(reply.payload);
         });
     if (!socket.ok()) {
       std::fprintf(stderr, "%s\n", socket.error().ToString().c_str());
